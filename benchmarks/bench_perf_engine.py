@@ -1,17 +1,12 @@
-"""Engine throughput benchmark: subframes/sec, fast path vs legacy path.
+"""Engine throughput benchmark: subframes/sec and per-phase wall time.
 
 Unlike the figure-reproduction benchmarks, this one measures the simulator
 itself.  Each cell size is described by a declarative
-:class:`~repro.experiments.ExperimentSpec`; for each the same seeded
-scenario runs through
-
-* the vectorized fast path (``fast_path=True``, the default), and
-* the legacy scalar path (``fast_path=False``) — the faithful pre-PR
-  reference substrate,
-
-verifies the two produce identical results (the substrates are bit-exact
-under a shared seed), and reports subframes/sec plus the fast path's phase
-breakdown.  Results land in ``BENCH_engine.json`` next to this script.
+:class:`~repro.experiments.ExperimentSpec`; each seeded scenario runs once
+for the headline subframes/sec and three more times under a phase timer
+for the per-phase breakdown.  Results land in ``BENCH_engine.json`` at the
+repo root.  Seeded outputs are pinned by the golden corpus under
+``tests/golden``, not here.
 
 Usage::
 
@@ -19,18 +14,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf_engine.py --smoke   # CI
 
 ``--smoke`` shrinks the subframe counts so CI exercises every code path in
-seconds; it fails on errors or a fast/legacy mismatch, never on timing.
+seconds; it fails on errors, never on timing.
 
-``--dynamics`` additionally runs every scenario under a scripted
+``--dynamics`` additionally times every scenario under a scripted
 environment timeline (hidden-node arrival, duty-cycle drift, departure)
-and asserts the fast and legacy paths stay bit-exact while the world
-churns mid-run — the mutation hazard the static benchmark cannot see.
-
-``--check-bit-exact`` runs only the equivalence checks (static + churn,
-fast vs legacy, at smoke sizes) through the stage-pipeline engine, plus
-the resilience contract — a supervised parallel grid, a checkpointed
-grid, and a killed-then-resumed grid must all equal the plain serial
-grid — and exits non-zero on any divergence; no timings, no report file.
+that mutates the world mid-run.
 
 ``--obs-overhead`` guards the observability contract on the medium
 scenario: a run with ``ObsConfig(enabled=False)`` must be bit-exact with
@@ -121,10 +109,9 @@ def channelize_spec(
     """Spread the spec's hidden terminals over a channel plan.
 
     Terminals are homed round-robin across the channels and UEs are
-    assigned by the blueprint channel selector — the multi-channel
-    configuration the engine must keep fast/legacy bit-exact.  With
-    ``with_drift`` the run additionally replays a per-channel duty-cycle
-    drift timeline (the ``repro dynamics`` composition hazard).
+    assigned by the blueprint channel selector.  With ``with_drift`` the
+    run additionally replays a per-channel duty-cycle drift timeline (the
+    ``repro dynamics`` composition hazard).
     """
     num_terminals = spec.scenario.params["num_terminals"]
     terminal_channels = tuple(
@@ -152,99 +139,49 @@ def channelize_spec(
     )
 
 
-def timed_run(
-    spec: ExperimentSpec,
-    fast: bool,
-    timer: PhaseTimer | None = None,
-    scheduler: str = "pf",
-):
-    simulation = build_experiment(spec).simulation(
-        scheduler, fast_path=fast, phase_timer=timer
-    )
+def timed_run(spec: ExperimentSpec, timer: PhaseTimer | None = None):
+    simulation = build_experiment(spec).simulation("pf", phase_timer=timer)
     start = perf_counter()
     result = simulation.run()
-    elapsed = perf_counter() - start
-    if fast and not getattr(simulation.scheduler, "fast_path_schedules", 0):
-        raise AssertionError(
-            f"{spec.name}/{scheduler}: fast run never took the vectorized "
-            f"schedule path — the benchmark would silently time the legacy "
-            f"flavour"
-        )
-    return result, elapsed
-
-
-def phase_speedups(fast_phases: dict, legacy_phases: dict) -> dict:
-    """Per-phase legacy/fast wall-time ratios (>1 means fast wins)."""
-    speedups = {}
-    for phase, legacy_entry in legacy_phases.items():
-        fast_entry = fast_phases.get(phase)
-        if not fast_entry or not fast_entry.get("total_s"):
-            continue
-        speedups[phase] = legacy_entry["total_s"] / fast_entry["total_s"]
-    return speedups
+    return result, perf_counter() - start
 
 
 def bench_scenario(spec: ExperimentSpec, subframes: int) -> dict:
-    fast_result, fast_s = timed_run(spec, fast=True)
-    legacy_result, legacy_s = timed_run(spec, fast=False)
-    if fast_result != legacy_result:
-        raise AssertionError(
-            f"{spec.name}: fast path diverged from the legacy path under "
-            f"one seed"
-        )
+    _, elapsed = timed_run(spec)
     # Extra instrumented runs for the per-phase breakdown (the timer costs
     # a couple of perf_counter calls per subframe, so it is kept out of the
-    # headline measurement).  The fast flavour is cheap enough to repeat:
-    # keeping the rep with the smallest schedule-phase total filters the
-    # machine-load spikes that would otherwise dominate sub-second phases.
-    # Both flavours run in the same process minutes apart, so the per-phase
-    # speedup ratios are additionally robust to sustained load in a way
-    # the absolute phase times are not.
-    fast_phases = None
+    # headline measurement).  Keeping the rep with the smallest
+    # schedule-phase total filters the machine-load spikes that would
+    # otherwise dominate sub-second phases.
+    phases = None
     for _ in range(3):
         rep_timer = PhaseTimer()
-        timed_run(spec, fast=True, timer=rep_timer)
+        timed_run(spec, timer=rep_timer)
         rep_phases = rep_timer.as_dict()
-        if fast_phases is None or (
-            rep_phases["schedule"]["total_s"]
-            < fast_phases["schedule"]["total_s"]
+        if phases is None or (
+            rep_phases["schedule"]["total_s"] < phases["schedule"]["total_s"]
         ):
-            fast_phases = rep_phases
-    legacy_timer = PhaseTimer()
-    timed_run(spec, fast=False, timer=legacy_timer)
-    legacy_phases = legacy_timer.as_dict()
+            phases = rep_phases
     return {
         "num_ues": spec.scenario.params["num_ues"],
         "num_terminals": spec.scenario.params["num_terminals"],
         "num_rbs": spec.sim.num_rbs,
         "num_antennas": spec.sim.num_antennas,
         "subframes": subframes,
-        "fast_subframes_per_s": subframes / fast_s,
-        "legacy_subframes_per_s": subframes / legacy_s,
-        "speedup": legacy_s / fast_s,
-        "phases": fast_phases,
-        "phases_legacy": legacy_phases,
-        "phase_speedups": phase_speedups(fast_phases, legacy_phases),
+        "fast_subframes_per_s": subframes / elapsed,
+        "phases": phases,
     }
 
 
 def bench_dynamics_scenario(spec: ExperimentSpec, subframes: int) -> dict:
-    fast_result, fast_s = timed_run(spec, fast=True)
-    legacy_result, legacy_s = timed_run(spec, fast=False)
-    if fast_result != legacy_result:
-        raise AssertionError(
-            f"{spec.name}: fast path diverged from the legacy path under "
-            f"churn"
-        )
+    _, elapsed = timed_run(spec)
     timeline = build_experiment(spec).timeline
     return {
         "num_ues": spec.scenario.params["num_ues"],
         "num_terminals": spec.scenario.params["num_terminals"],
         "subframes": subframes,
         "timeline_events": timeline.num_events,
-        "fast_subframes_per_s": subframes / fast_s,
-        "legacy_subframes_per_s": subframes / legacy_s,
-        "speedup": legacy_s / fast_s,
+        "fast_subframes_per_s": subframes / elapsed,
     }
 
 
@@ -382,145 +319,6 @@ def obs_overhead(smoke: bool) -> dict:
     }
 
 
-def check_resilience_bit_exact() -> int:
-    """Supervision and checkpoint/resume must never change results.
-
-    Pins the opt-in contract of ``repro.resilience``: a supervised
-    parallel grid, a checkpointed grid, and a killed-then-resumed grid
-    all reproduce the plain serial grid bit-exactly.
-    """
-    import os
-    import tempfile
-
-    from repro.experiments import resume_checkpoint, run_experiment_grid
-    from repro.resilience import SupervisorConfig
-
-    failures = 0
-    name, ues, terminals, rbs, antennas, _ = SCENARIOS[0]
-    spec = build_spec(name, ues, terminals, rbs, antennas, 400)
-    seeds = [0, 1]
-    plain = run_experiment_grid(spec, seeds, n_jobs=1)
-
-    supervised = run_experiment_grid(
-        spec, seeds, n_jobs=2,
-        supervisor=SupervisorConfig(timeout_s=600.0, max_retries=1),
-    )
-    if supervised == plain:
-        print("bit-exact: supervised parallel grid")
-    else:
-        failures += 1
-        print("DIVERGED: supervised parallel grid", file=sys.stderr)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        checkpointed = run_experiment_grid(
-            spec, seeds, n_jobs=1, checkpoint_dir=tmp
-        )
-        if checkpointed == plain:
-            print("bit-exact: checkpointed grid")
-        else:
-            failures += 1
-            print("DIVERGED: checkpointed grid", file=sys.stderr)
-
-        # Simulate a mid-run kill: drop the last completed cell, resume.
-        os.unlink(Path(tmp) / "cell-00001.json")
-        kind, resumed = resume_checkpoint(tmp)
-        if kind == "grid" and resumed == plain:
-            print("bit-exact: killed-and-resumed grid")
-        else:
-            failures += 1
-            print("DIVERGED: killed-and-resumed grid", file=sys.stderr)
-    return failures
-
-
-#: Every registered scheduler the equivalence sweep must cover.
-CHECK_SCHEDULERS = ("pf", "speculative", "access-aware", "oracle")
-
-
-def check_bit_exact() -> int:
-    """Fast/legacy equivalence through the stage pipeline, static + churn.
-
-    Sweeps every scheduler (PF, speculative, access-aware, oracle) over
-    every scenario with and without the churn timeline; each fast run also
-    asserts the vectorized path was actually exercised (see
-    :func:`timed_run`), so a silent fallback to the legacy flavour fails
-    the check rather than trivially passing it.
-    """
-    import dataclasses
-
-    failures = 0
-    for name, ues, terminals, rbs, antennas, _ in SCENARIOS:
-        for with_timeline in (False, True):
-            base = build_spec(
-                name, ues, terminals, rbs, antennas, 400,
-                with_timeline=with_timeline,
-            )
-            for scheduler in CHECK_SCHEDULERS:
-                spec = dataclasses.replace(
-                    base, schedulers={scheduler: SchedulerSpec(scheduler)}
-                )
-                fast_result, _ = timed_run(
-                    spec, fast=True, scheduler=scheduler
-                )
-                legacy_result, _ = timed_run(
-                    spec, fast=False, scheduler=scheduler
-                )
-                label = (
-                    f"{name}/{scheduler}"
-                    f"{' +churn' if with_timeline else ''}"
-                )
-                if fast_result == legacy_result:
-                    print(f"bit-exact: {label}")
-                else:
-                    failures += 1
-                    print(f"DIVERGED: {label}", file=sys.stderr)
-    failures += check_channels_bit_exact()
-    failures += check_resilience_bit_exact()
-    return 1 if failures else 0
-
-
-def check_channels_bit_exact() -> int:
-    """The channel axis must not perturb fast/legacy equivalence.
-
-    Three flavours per scheduler on the small scenario: a 1-channel plan
-    (which must also reproduce the channel-free run bit-exactly), a
-    3-channel blueprint assignment, and a 3-channel run under the
-    per-channel duty-cycle drift timeline.
-    """
-    import dataclasses
-
-    failures = 0
-    name, ues, terminals, rbs, antennas, _ = SCENARIOS[0]
-    base = build_spec(name, ues, terminals, rbs, antennas, 400)
-    for scheduler in ("pf", "speculative"):
-        spec = dataclasses.replace(
-            base, schedulers={scheduler: SchedulerSpec(scheduler)}
-        )
-        plain_result, _ = timed_run(spec, fast=True, scheduler=scheduler)
-        single = spec.replace(channels=ChannelSpec())
-        flavours = {
-            "1ch": single,
-            "3ch": channelize_spec(spec),
-            "3ch +drift": channelize_spec(spec, with_drift=True),
-        }
-        for flavour, channel_spec in flavours.items():
-            fast_result, _ = timed_run(
-                channel_spec, fast=True, scheduler=scheduler
-            )
-            legacy_result, _ = timed_run(
-                channel_spec, fast=False, scheduler=scheduler
-            )
-            label = f"{name}/{scheduler} {flavour}"
-            ok = fast_result == legacy_result
-            if flavour == "1ch":
-                ok = ok and fast_result == plain_result
-            if ok:
-                print(f"bit-exact: {label}")
-            else:
-                failures += 1
-                print(f"DIVERGED: {label}", file=sys.stderr)
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -531,12 +329,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--dynamics",
         action="store_true",
-        help="also verify fast/legacy bit-exactness under a churn timeline",
-    )
-    parser.add_argument(
-        "--check-bit-exact",
-        action="store_true",
-        help="only run the fast/legacy equivalence checks (static + churn)",
+        help="also time every scenario under a churn timeline",
     )
     parser.add_argument(
         "--obs-overhead",
@@ -569,8 +362,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.check_bit_exact:
-        return check_bit_exact()
     if args.obs_overhead:
         entry = obs_overhead(args.smoke)
         if not args.smoke:
@@ -593,11 +384,7 @@ def main(argv=None) -> int:
         spec = build_spec(name, ues, terminals, rbs, antennas, subframes)
         entry = bench_scenario(spec, subframes)
         report["scenarios"][name] = entry
-        print(
-            f"{name:>7s}: fast {entry['fast_subframes_per_s']:9.1f} sf/s | "
-            f"legacy {entry['legacy_subframes_per_s']:9.1f} sf/s | "
-            f"speedup {entry['speedup']:.2f}x"
-        )
+        print(f"{name:>7s}: {entry['fast_subframes_per_s']:9.1f} sf/s")
 
     if args.dynamics:
         report["dynamics"] = {}
@@ -611,9 +398,8 @@ def main(argv=None) -> int:
             entry = bench_dynamics_scenario(spec, subframes)
             report["dynamics"][name] = entry
             print(
-                f"{name:>7s} (churn): fast {entry['fast_subframes_per_s']:9.1f}"
-                f" sf/s | legacy {entry['legacy_subframes_per_s']:9.1f} sf/s |"
-                f" bit-exact over {entry['timeline_events']} events"
+                f"{name:>7s} (churn): {entry['fast_subframes_per_s']:9.1f} sf/s"
+                f" over {entry['timeline_events']} events"
             )
 
     if args.channels:
@@ -627,11 +413,7 @@ def main(argv=None) -> int:
             entry = bench_scenario(spec, subframes)
             entry["num_channels"] = spec.channels.plan.num_channels
             report["channels"][name] = entry
-            print(
-                f"{name:>7s} (3ch): fast {entry['fast_subframes_per_s']:9.1f}"
-                f" sf/s | legacy {entry['legacy_subframes_per_s']:9.1f} sf/s"
-                f" | speedup {entry['speedup']:.2f}x"
-            )
+            print(f"{name:>7s} (3ch): {entry['fast_subframes_per_s']:9.1f} sf/s")
 
     if args.deploy:
         report["deployment"] = bench_deployment(args.smoke, args.deploy_jobs)

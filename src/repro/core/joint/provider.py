@@ -93,7 +93,7 @@ class JointAccessProvider:
         probability of ``group[j]``.  The greedy hot path consumes the
         dict form (its Python accumulation order is part of the
         bit-exactness contract); the vector form serves analysis and
-        vectorized consumers.
+        array consumers.
         """
         service = self.decodable_service(frozenset(group), max_streams)
         return np.array([service[ue] for ue in group], dtype=float)
@@ -117,7 +117,7 @@ class JointAccessProvider:
 class _FastJointTables:
     """Int-bitmask mirror of one topology's pattern machinery.
 
-    The scheduler's vectorized flavour queries service probabilities per
+    The speculative scheduler queries service probabilities per
     candidate group at every greedy step; this class answers those queries
     with integer bitmask keys (cheap hashing, cheap set algebra) and
     *incremental* group state: extending group ``G`` to ``G ∪ {c}`` merges

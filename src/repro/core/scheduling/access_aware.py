@@ -9,16 +9,10 @@ it cannot recover the lost utilization (Figs. 15–18).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.joint.provider import JointAccessProvider
-from repro.core.scheduling.base import (
-    UplinkScheduler,
-    build_schedule,
-    build_schedule_fast,
-)
+from repro.core.scheduling.base import UplinkScheduler, build_schedule_fast
 from repro.core.scheduling.types import BurstTable, SchedulingContext
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
 from repro.lte.resources import SubframeSchedule
@@ -33,42 +27,20 @@ class AccessAwareScheduler(UplinkScheduler):
 
     def __init__(self, provider: JointAccessProvider) -> None:
         self.provider = provider
-        #: Schedule calls served by the vectorized flavour (perf-harness
-        #: guard against silent legacy fallbacks).
-        self.fast_path_schedules = 0
 
     def schedule(self, context: SchedulingContext) -> SubframeSchedule:
-        if context.vectorized:
-            # AA's utility is still a plain per-client sum: scaling the PF
-            # weight rows by the access-probability vector gives exactly
-            # ``p(i) * w(i)`` per entry (IEEE multiplication is commutative
-            # bit-for-bit), so the linear fast builder applies unchanged.
-            access = np.zeros(context.num_ue_slots)
-            for ue in context.ue_ids:
-                access[ue] = self.provider.access_probability(ue)
-            table = BurstTable(
-                context,
-                min(context.num_antennas, MAX_ORTHOGONAL_PILOTS),
-                scale=access,
-            )
-            self.fast_path_schedules += 1
-            return build_schedule_fast(
-                context, max_group_size=context.num_antennas, table=table
-            )
-
-        def utility(rb: int, group: Sequence[int]) -> float:
-            streams = min(len(group), context.num_antennas)
-            if streams == 0:
-                return 0.0
-            return sum(
-                self.provider.access_probability(ue)
-                * context.pf_weight(ue, rb, streams)
-                for ue in group
-            )
-
-        return build_schedule(
+        # AA's utility is still a plain per-client sum: scaling the PF
+        # weight rows by the access-probability vector gives exactly
+        # ``p(i) * w(i)`` per entry (IEEE multiplication is commutative
+        # bit-for-bit), so the linear builder applies unchanged.
+        access = np.zeros(context.num_ue_slots)
+        for ue in context.ue_ids:
+            access[ue] = self.provider.access_probability(ue)
+        table = BurstTable(
             context,
-            rb_utility=utility,
-            max_group_size=context.num_antennas,
-            grant_streams=lambda size: max(min(size, context.num_antennas), 1),
+            min(context.num_antennas, MAX_ORTHOGONAL_PILOTS),
+            scale=access,
+        )
+        return build_schedule_fast(
+            context, max_group_size=context.num_antennas, table=table
         )

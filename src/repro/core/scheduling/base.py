@@ -8,33 +8,28 @@ only in how a candidate group is valued and how large it may grow.
 
 Two builders implement the skeleton:
 
-* :func:`build_schedule` — the scalar reference: per-candidate utility
-  callables, per-grant rate lookups.  Kept as the legacy flavour the
-  bit-exactness regressions compare against.
-* :func:`build_schedule_fast` — the vectorized flavour: utilities come
-  from per-burst weight columns (plain sums for PF-family schedulers, dot
+* :func:`build_schedule_fast` — the uplink builder: utilities come from
+  per-burst weight columns (plain sums for PF-family schedulers, dot
   products of cached service-probability vectors and weight columns for
   the speculative one, via a :class:`StepScorer`), and grant rates from
-  per-burst rate columns.  Selection is *identical* to the scalar builder
-  because every candidate's utility value is produced by the same IEEE
-  operation sequence — the greedy scan itself (ascending id order, strict
-  ``1e-15`` improvement over the running best) stays a sequential Python
-  loop, which is what makes near-tie behaviour reproducible.
+  per-burst rate columns;
+* :func:`build_schedule` — the generic builder over a per-candidate
+  utility callable, used by the downlink scheduler.
+
+Both run the same greedy scan (ascending id order, strict ``1e-15``
+improvement over the running best) as a sequential Python loop, which is
+what makes near-tie behaviour reproducible.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
-from repro.core.scheduling._kernel import KERNEL_MAX_SLOTS, kernel
 from repro.core.scheduling.types import (
     BurstTable,
     CompactColumns,
     SchedulingContext,
-    compact_tensors,
 )
 from repro.errors import SchedulingError
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
@@ -44,8 +39,6 @@ __all__ = [
     "UplinkScheduler",
     "StepScorer",
     "greedy_group",
-    "greedy_group_linear",
-    "greedy_group_scored",
     "build_schedule",
     "build_schedule_fast",
 ]
@@ -67,14 +60,15 @@ class UplinkScheduler(abc.ABC):
 class StepScorer(abc.ABC):
     """Values every candidate extension of the current group in one call.
 
-    The contract behind :func:`greedy_group_scored`: the greedy loop owns
-    selection (the ``1e-15`` chain scan), the scorer owns valuation.  A
-    scorer is stateful along one RB's greedy path — ``start_rb`` resets it,
-    ``step_values`` prices ``group + [c]`` for every remaining candidate
-    ``c`` (reusing whatever incremental state the committed group has
-    built), and ``commit`` extends that state when the loop accepts a
-    candidate.  Every returned value must be bit-identical to the
-    scheduler's scalar group-utility for the same candidate group.
+    The contract behind :func:`build_schedule_fast`'s non-linear
+    utilities: the greedy loop owns selection (the ``1e-15`` chain scan),
+    the scorer owns valuation.  A scorer is stateful along one RB's
+    greedy path — ``start_rb`` resets it, ``step_values`` prices
+    ``group + [c]`` for every remaining candidate ``c`` (reusing whatever
+    incremental state the committed group has built), and ``commit``
+    extends that state when the loop accepts a candidate.  Every returned
+    value must be bit-identical to the scheduler's scalar group-utility
+    for the same candidate group.
     """
 
     @abc.abstractmethod
@@ -96,12 +90,18 @@ class StepScorer(abc.ABC):
         """Utility of an arbitrary group (used when the K-budget trims)."""
 
 
-def _greedy_group(
+def greedy_group(
     candidates: Sequence[int],
     utility: GroupUtility,
     max_size: int,
-) -> Tuple[List[int], float]:
-    """Greedy growth returning ``(group, utility_of_group)``."""
+) -> List[int]:
+    """Grow a client group by always adding the best marginal client.
+
+    Mirrors Eqn. 3: starting empty, repeatedly add the client with the
+    largest strictly positive incremental utility; stop when none improves
+    or the size cap is reached.  Deterministic: ties break toward the
+    lowest client id.
+    """
     if max_size < 1:
         raise SchedulingError(f"max_size must be positive: {max_size}")
     group: List[int] = []
@@ -120,123 +120,7 @@ def _greedy_group(
         group.append(best_ue)
         remaining.remove(best_ue)
         current = best_value
-    return group, current
-
-
-def greedy_group(
-    candidates: Sequence[int],
-    utility: GroupUtility,
-    max_size: int,
-) -> List[int]:
-    """Grow a client group by always adding the best marginal client.
-
-    Mirrors Eqn. 3: starting empty, repeatedly add the client with the
-    largest strictly positive incremental utility; stop when none improves
-    or the size cap is reached.  Deterministic: ties break toward the
-    lowest client id.
-    """
-    return _greedy_group(candidates, utility, max_size)[0]
-
-
-def _greedy_group_linear(
-    candidates: Sequence[int],
-    weights_for_size: Callable[[int], Sequence[float]],
-    max_size: int,
-) -> Tuple[List[int], float]:
-    """Linear-utility greedy growth returning ``(group, utility)``."""
-    if max_size < 1:
-        raise SchedulingError(f"max_size must be positive: {max_size}")
-    group: List[int] = []
-    current = 0.0
-    remaining = sorted(set(candidates))
-    while remaining and len(group) < max_size:
-        weights = weights_for_size(len(group) + 1)
-        base = 0.0
-        for member in group:
-            base += weights[member]
-        best_ue: Optional[int] = None
-        best_value = current
-        for ue in remaining:
-            value = base + weights[ue]
-            if value > best_value + 1e-15:
-                best_ue = ue
-                best_value = value
-        if best_ue is None:
-            break
-        group.append(best_ue)
-        remaining.remove(best_ue)
-        current = best_value
-    return group, current
-
-
-def greedy_group_linear(
-    candidates: Sequence[int],
-    weights_for_size: Callable[[int], Sequence[float]],
-    max_size: int,
-) -> List[int]:
-    """:func:`greedy_group` for utilities that are sums of per-client weights.
-
-    When a candidate group's utility is ``sum(w[ue] for ue in group)`` with
-    weights that depend only on the group *size* (e.g. PF under the
-    size-dependent MU-MIMO stream penalty), each greedy step only needs the
-    weight vector for the next size — no per-candidate closure calls.  The
-    selection rule (strict ``1e-15`` improvement, sequential scan in
-    ascending id order, left-to-right summation) is replicated exactly, so
-    the result is identical to :func:`greedy_group` with the equivalent
-    group-utility callable.
-
-    ``weights_for_size(size)`` returns a per-client weight sequence indexed
-    by UE id, valid for groups of exactly ``size`` members.
-    """
-    return _greedy_group_linear(candidates, weights_for_size, max_size)[0]
-
-
-def _greedy_group_scored(
-    candidates: Sequence[int],
-    scorer: StepScorer,
-    rb: int,
-    max_size: int,
-) -> Tuple[List[int], float]:
-    """Scorer-driven greedy growth returning ``(group, utility)``."""
-    if max_size < 1:
-        raise SchedulingError(f"max_size must be positive: {max_size}")
-    group: List[int] = []
-    current = 0.0
-    remaining = sorted(set(candidates))
-    scorer.start_rb(rb)
-    while remaining and len(group) < max_size:
-        values = scorer.step_values(rb, group, remaining)
-        best_index = -1
-        best_value = current
-        for index, value in enumerate(values):
-            if value > best_value + 1e-15:
-                best_index = index
-                best_value = value
-        if best_index < 0:
-            break
-        ue = remaining.pop(best_index)
-        group.append(ue)
-        scorer.commit(ue)
-        current = best_value
-    return group, current
-
-
-def greedy_group_scored(
-    candidates: Sequence[int],
-    scorer: StepScorer,
-    rb: int,
-    max_size: int,
-) -> List[int]:
-    """:func:`greedy_group` driven by a :class:`StepScorer`.
-
-    Extends :func:`greedy_group_linear`'s contract to utilities that are
-    *not* plain per-client sums — e.g. the speculative scheduler's dot
-    products of cached service-probability vectors and PF weight columns.
-    One ``step_values`` call prices every candidate of a greedy step;
-    selection (order, ties, the ``1e-15`` rule) is identical to
-    :func:`greedy_group` over the scorer's scalar-equivalent utility.
-    """
-    return _greedy_group_scored(candidates, scorer, rb, max_size)[0]
+    return group
 
 
 def build_schedule(
@@ -244,10 +128,8 @@ def build_schedule(
     rb_utility: Callable[[int, Sequence[int]], float],
     max_group_size: int,
     grant_streams: Callable[[int], int],
-    rb_weights: Optional[Callable[[int, int], Sequence[float]]] = None,
-    rb_utilities: Optional[Dict[int, float]] = None,
 ) -> SubframeSchedule:
-    """Shared RB-walking skeleton (the scalar reference flavour).
+    """Shared RB-walking skeleton over a per-candidate utility callable.
 
     Args:
         context: the subframe's scheduling context.
@@ -257,15 +139,6 @@ def build_schedule(
             schedulers, ``~2M`` for the speculative one).
         grant_streams: group size -> stream count the grant's MCS assumes
             (``min(size, M)``: the largest decodable concurrency).
-        rb_weights: optional ``(rb, size) -> per-UE-id weight sequence``
-            for schedulers whose group utility is a plain sum of per-client
-            weights; enables the :func:`greedy_group_linear` fast path
-            (identical selections, no per-candidate callable dispatch).
-        rb_utilities: optional dict the builder fills with the utility of
-            each allocated RB's *admitted* group — the value the greedy
-            loop already computed (recomputed only when the K-budget
-            trimmed the group), so metrics recording need not re-price
-            the burst.
     """
     size_cap = min(max_group_size, MAX_ORTHOGONAL_PILOTS)
     schedule = SubframeSchedule(num_rbs=context.num_rbs)
@@ -275,18 +148,9 @@ def build_schedule(
             candidates: Sequence[int] = sorted(distinct)
         else:
             candidates = context.ue_ids
-        if rb_weights is not None:
-            group, current = _greedy_group_linear(
-                candidates,
-                lambda size, rb=rb: rb_weights(rb, size),
-                size_cap,
-            )
-        else:
-            group, current = _greedy_group(
-                candidates,
-                lambda g, rb=rb: rb_utility(rb, g),
-                size_cap,
-            )
+        group = greedy_group(
+            candidates, lambda g, rb=rb: rb_utility(rb, g), size_cap
+        )
         # The K-budget must hold for the union across RBs: admit the greedy
         # order's prefix of newcomers that still fits the budget.
         allowed_new = context.max_distinct_ues - len(distinct)
@@ -298,12 +162,6 @@ def build_schedule(
             elif new_count < allowed_new:
                 admitted.append(ue)
                 new_count += 1
-        if rb_utilities is not None and admitted:
-            rb_utilities[rb] = (
-                current
-                if len(admitted) == len(group)
-                else rb_utility(rb, admitted)
-            )
         streams = grant_streams(len(admitted))
         for pilot_index, ue in enumerate(admitted):
             schedule.add_grant(
@@ -318,226 +176,6 @@ def build_schedule(
     return schedule
 
 
-def _emit_kernel_grants(
-    rb_schedules: Dict[int, "RBSchedule"],
-    antennas: int,
-    col_start: int,
-    col_end: int,
-    offset: int,
-    out_sizes: np.ndarray,
-    out_members: np.ndarray,
-    out_utils: np.ndarray,
-    rates: np.ndarray,
-    ids: Optional[List[int]],
-    rb_utilities: Optional[Dict[int, float]],
-) -> None:
-    """Turn one kernel call's outputs into grants.
-
-    ``rates`` is the unboxed ``(streams, slot, col)`` tensor matching the
-    weight slab the kernel scanned; the granted rates are boxed in one
-    vectorized gather over the zero-padded member block (the gather reads
-    each float untouched, and padding entries are sliced away before the
-    grants are built).  ``ids`` maps compact slots back to UE ids
-    (``None`` when slots already are UE ids).
-    """
-    counts = out_sizes[col_start:col_end]
-    sizes = counts.tolist()
-    member_block = out_members[col_start:col_end]
-    members = member_block.tolist()
-    layers = np.minimum(counts, antennas) - 1
-    cols = np.arange(col_start, col_end)
-    values = rates[layers[:, None], member_block, cols[:, None]].tolist()
-    utils = (
-        out_utils[col_start:col_end].tolist()
-        if rb_utilities is not None
-        else None
-    )
-    base = offset + col_start
-    new = tuple.__new__
-    grant = UplinkGrant
-    for local, count in enumerate(sizes):
-        if not count:
-            continue
-        slots = members[local]
-        if count < len(slots):
-            slots = slots[:count]
-        rb = base + local
-        row = values[local]
-        # Fresh RBSchedules straight from `SubframeSchedule.empty`: build
-        # the grant list directly (grant_group's start/index bookkeeping
-        # is vacuous here — the RB has no prior grants and lazy caches).
-        if ids is None:
-            rb_schedules[rb].grants = [
-                new(grant, (slot, rb, row[pilot], pilot))
-                for pilot, slot in enumerate(slots)
-            ]
-        else:
-            rb_schedules[rb].grants = [
-                new(grant, (ids[slot], rb, row[pilot], pilot))
-                for pilot, slot in enumerate(slots)
-            ]
-        if utils is not None:
-            rb_utilities[rb] = utils[local]
-
-
-#: Reused kernel scratch buffers, keyed by ``(num_rbs, size_cap, n_slots)``:
-#: the admitted-slot flags plus the kernel's per-column output arrays, with
-#: their raw pointers.  Scheduling runs single-threaded inside one engine
-#: process (the resilience harness forks whole processes), so reuse is safe;
-#: the flags are re-zeroed every call and the outputs are fully overwritten
-#: for every column the driver reads.
-_SCRATCH: Dict[
-    Tuple[int, int, int],
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, int, int],
-] = {}
-
-
-def _scratch(num_rbs: int, size_cap: int, n_slots: int):
-    key = (num_rbs, size_cap, n_slots)
-    entry = _SCRATCH.get(key)
-    if entry is None:
-        flags = np.zeros(n_slots, dtype=np.uint8)
-        out_sizes = np.empty(num_rbs, dtype=np.int64)
-        out_members = np.empty((num_rbs, size_cap), dtype=np.int64)
-        out_utils = np.empty(num_rbs, dtype=np.float64)
-        entry = (
-            flags,
-            out_sizes,
-            out_members,
-            out_utils,
-            flags.ctypes.data,
-            out_sizes.ctypes.data,
-            out_members.ctypes.data,
-            out_utils.ctypes.data,
-        )
-        if len(_SCRATCH) > 64:
-            _SCRATCH.clear()
-        _SCRATCH[key] = entry
-    else:
-        entry[0][:] = 0
-    return entry
-
-
-def _build_schedule_kernel(
-    context: SchedulingContext,
-    table: BurstTable,
-    size_cap: int,
-    rb_utilities: Optional[Dict[int, float]],
-    lib,
-) -> SubframeSchedule:
-    """RB walk driven by the compiled greedy kernel (linear utilities).
-
-    The walk has two phases, matching the interpreted flavour exactly:
-    full-width windows until the distinct-client budget saturates, then
-    one compact pass over the admitted clients for the remaining RBs.
-    The kernel runs the identical greedy recurrence over the unboxed
-    weight tensors (see ``_kernel``), so groups, admission, and grants
-    are bit-identical to the interpreted scan — no float is ever boxed
-    except the granted rates themselves.
-    """
-    antennas = context.num_antennas
-    num_rbs = context.num_rbs
-    schedule = SubframeSchedule.empty(num_rbs)
-    candidates = sorted(set(context.ue_ids))
-    if not candidates:
-        return schedule
-    rb_schedules = schedule.rb_schedules
-    n_slots = table.num_slots
-    cand = np.asarray(candidates, dtype=np.int64)
-    cand_ptr = cand.ctypes.data
-    (
-        flags,
-        out_sizes,
-        out_members,
-        out_utils,
-        flags_ptr,
-        sizes_ptr,
-        members_ptr,
-        utils_ptr,
-    ) = _scratch(num_rbs, size_cap, n_slots)
-    fill = lib.greedy_fill
-    max_new = context.max_distinct_ues
-    rb = 0
-    while rb < num_rbs and max_new > 0:
-        end = table.ensure_window(rb)
-        slab = table.weights_tensor
-        max_new = fill(
-            slab.ctypes.data,
-            n_slots,
-            slab.shape[2],
-            rb,
-            end,
-            size_cap,
-            antennas,
-            cand_ptr,
-            cand.shape[0],
-            flags_ptr,
-            max_new,
-            sizes_ptr,
-            members_ptr,
-            utils_ptr,
-        )
-        if max_new < 0:
-            raise SchedulingError("greedy kernel rejected its inputs")
-        _emit_kernel_grants(
-            rb_schedules,
-            antennas,
-            rb,
-            end,
-            0,
-            out_sizes,
-            out_members,
-            out_utils,
-            table.rates_tensor,
-            None,
-            rb_utilities,
-        )
-        rb = end
-    if rb < num_rbs:
-        # Saturated: remaining RBs scan compact columns of the admitted
-        # set (slots are positions in the ascending id list, so scan
-        # order and tie-breaks match the full-width walk exactly).
-        ids = np.nonzero(flags)[0]
-        if not ids.size:
-            return schedule
-        rates, weights = compact_tensors(table, ids, rb)
-        weights = np.ascontiguousarray(weights)
-        cols = num_rbs - rb
-        members = np.ones(ids.size, dtype=np.uint8)
-        status = fill(
-            weights.ctypes.data,
-            ids.size,
-            cols,
-            0,
-            cols,
-            size_cap,
-            antennas,
-            cand_ptr,
-            0,
-            members.ctypes.data,
-            0,
-            sizes_ptr,
-            members_ptr,
-            utils_ptr,
-        )
-        if status < 0:
-            raise SchedulingError("greedy kernel rejected its inputs")
-        _emit_kernel_grants(
-            rb_schedules,
-            antennas,
-            0,
-            cols,
-            rb,
-            out_sizes,
-            out_members,
-            out_utils,
-            rates,
-            ids.tolist(),
-            rb_utilities,
-        )
-    return schedule
-
-
 def build_schedule_fast(
     context: SchedulingContext,
     max_group_size: int,
@@ -545,7 +183,7 @@ def build_schedule_fast(
     scorer: Optional[StepScorer] = None,
     rb_utilities: Optional[Dict[int, float]] = None,
 ) -> SubframeSchedule:
-    """The vectorized RB-walking flavour: same walk, batched valuation.
+    """The uplink RB walk: :func:`build_schedule`'s walk, batched valuation.
 
     Candidate valuation reads a per-burst :class:`BurstTable` instead of
     calling per-candidate utility closures:
@@ -566,25 +204,19 @@ def build_schedule_fast(
     RBs scan ``K``-wide compact rows instead of dense UE-id rows.
 
     All schedulers share the stream-count rule ``min(size, M)`` (floor 1),
-    so it is inlined rather than passed in.  Selections and grants are
-    bit-identical to :func:`build_schedule` with the scalar-equivalent
-    utility: the table holds the same IEEE floats the scalar path
+    so it is inlined rather than passed in.  Selections and grants equal
+    :func:`build_schedule`'s with the equivalent per-candidate utility:
+    the table holds the same IEEE floats ``SchedulingContext.pf_weight``
     computes, and the greedy scan is the same sequential recurrence — the
     acceptance threshold ``best_value + 1e-15`` is hoisted and refreshed
-    only when ``best_value`` changes, which is exactly when the scalar
-    flavour's recomputed bound changes.
+    only when ``best_value`` changes, which is exactly when
+    :func:`build_schedule`'s recomputed bound changes.
     """
     if table is None:
         raise SchedulingError("build_schedule_fast needs a BurstTable")
     size_cap = min(max_group_size, MAX_ORTHOGONAL_PILOTS)
     if size_cap < 1:
         raise SchedulingError(f"max_size must be positive: {size_cap}")
-    if scorer is None:
-        lib = kernel()
-        if lib is not None and table.num_slots <= KERNEL_MAX_SLOTS:
-            return _build_schedule_kernel(
-                context, table, size_cap, rb_utilities, lib
-            )
     antennas = context.num_antennas
     max_distinct = context.max_distinct_ues
     schedule = SubframeSchedule.empty(context.num_rbs)

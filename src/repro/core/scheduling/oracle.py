@@ -9,15 +9,9 @@ and BLU's recovery are measured.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.core.scheduling.base import (
-    UplinkScheduler,
-    build_schedule,
-    build_schedule_fast,
-)
+from repro.core.scheduling.base import UplinkScheduler, build_schedule_fast
 from repro.core.scheduling.types import BurstTable, SchedulingContext
 from repro.errors import SchedulingError
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
@@ -35,50 +29,25 @@ class OracleScheduler(UplinkScheduler):
     #: oracle every UL subframe rather than reusing a burst schedule.
     reschedule_every_subframe = True
 
-    def __init__(self) -> None:
-        #: Schedule calls served by the vectorized flavour (perf-harness
-        #: guard against silent legacy fallbacks).
-        self.fast_path_schedules = 0
-
     def schedule(self, context: SchedulingContext) -> SubframeSchedule:
         if context.clear_ues is None:
             raise SchedulingError(
                 "oracle scheduler needs context.clear_ues (genie information)"
             )
-        clear = context.clear_ues
-
-        if context.vectorized:
-            # An additive 0 / -inf offset vector pushes blocked clients'
-            # weights to -inf, reproducing the scalar veto exactly: any
-            # group containing one sums to -inf (finite + -inf, -inf +
-            # -inf — no +inf exists, so no NaN), which the
-            # strict-improvement scan never accepts; clear clients keep
-            # their weights bit-for-bit (w + 0.0 == w, no -0.0 occurs).
-            offsets = np.full(context.num_ue_slots, -np.inf)
-            for ue in clear:
-                if 0 <= ue < offsets.shape[0]:
-                    offsets[ue] = 0.0
-            table = BurstTable(
-                context,
-                min(context.num_antennas, MAX_ORTHOGONAL_PILOTS),
-                offset=offsets,
-            )
-            self.fast_path_schedules += 1
-            return build_schedule_fast(
-                context, max_group_size=context.num_antennas, table=table
-            )
-
-        def utility(rb: int, group: Sequence[int]) -> float:
-            if any(ue not in clear for ue in group):
-                return float("-inf")
-            streams = min(len(group), context.num_antennas)
-            if streams == 0:
-                return 0.0
-            return sum(context.pf_weight(ue, rb, streams) for ue in group)
-
-        return build_schedule(
+        # An additive 0 / -inf offset vector vetoes blocked clients: any
+        # group containing one sums to -inf (finite + -inf, -inf + -inf —
+        # no +inf exists, so no NaN), which the strict-improvement scan
+        # never accepts; clear clients keep their weights bit-for-bit
+        # (w + 0.0 == w, no -0.0 occurs).
+        offsets = np.full(context.num_ue_slots, -np.inf)
+        for ue in context.clear_ues:
+            if 0 <= ue < offsets.shape[0]:
+                offsets[ue] = 0.0
+        table = BurstTable(
             context,
-            rb_utility=utility,
-            max_group_size=context.num_antennas,
-            grant_streams=lambda size: max(min(size, context.num_antennas), 1),
+            min(context.num_antennas, MAX_ORTHOGONAL_PILOTS),
+            offset=offsets,
+        )
+        return build_schedule_fast(
+            context, max_group_size=context.num_antennas, table=table
         )

@@ -9,13 +9,7 @@ spectrum its grants silently die on blocked clients.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.scheduling.base import (
-    UplinkScheduler,
-    build_schedule,
-    build_schedule_fast,
-)
+from repro.core.scheduling.base import UplinkScheduler, build_schedule_fast
 from repro.core.scheduling.types import BurstTable, SchedulingContext
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
 from repro.lte.resources import SubframeSchedule
@@ -28,34 +22,14 @@ class ProportionalFairScheduler(UplinkScheduler):
 
     name = "pf"
 
-    def __init__(self) -> None:
-        #: Schedule calls served by the vectorized flavour (perf-harness
-        #: guard against silent legacy fallbacks).
-        self.fast_path_schedules = 0
-
     def schedule(self, context: SchedulingContext) -> SubframeSchedule:
-        if context.vectorized:
-            # PF's group utility is a plain sum of per-client weights whose
-            # value depends only on the group size (via the stream-count
-            # SINR penalty), so the linear fast builder applies directly
-            # over the burst's lazily windowed weight table.
-            table = BurstTable(
-                context, min(context.num_antennas, MAX_ORTHOGONAL_PILOTS)
-            )
-            self.fast_path_schedules += 1
-            return build_schedule_fast(
-                context, max_group_size=context.num_antennas, table=table
-            )
-
-        def utility(rb: int, group: Sequence[int]) -> float:
-            streams = min(len(group), context.num_antennas)
-            if streams == 0:
-                return 0.0
-            return sum(context.pf_weight(ue, rb, streams) for ue in group)
-
-        return build_schedule(
-            context,
-            rb_utility=utility,
-            max_group_size=context.num_antennas,
-            grant_streams=lambda size: max(min(size, context.num_antennas), 1),
+        # PF's group utility is a plain sum of per-client weights whose
+        # value depends only on the group size (via the stream-count SINR
+        # penalty), so the linear builder applies directly over the
+        # burst's lazily windowed weight table.
+        table = BurstTable(
+            context, min(context.num_antennas, MAX_ORTHOGONAL_PILOTS)
+        )
+        return build_schedule_fast(
+            context, max_group_size=context.num_antennas, table=table
         )

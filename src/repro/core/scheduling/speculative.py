@@ -25,12 +25,12 @@ the paper observes diminishing returns past ``[M, 2M]``.
 
 Eqn. 4 factors into a blueprint-dependent part (the service probabilities,
 fixed while the blueprint is fixed) and a rate-dependent part (the PF
-weights, fresh every burst).  The vectorized flavour exploits exactly that
-split: service-probability vectors are cached per group on the provider,
+weights, fresh every burst).  The scheduler exploits exactly that split:
+service-probability vectors are cached per group on the provider,
 PF-weight columns are batched once per burst, and each greedy step prices
 all candidates through a :class:`~repro.core.scheduling.base.StepScorer`
-whose per-candidate accumulation replays the scalar reference's operation
-order — selections stay bit-identical.
+whose per-candidate accumulation replays
+:meth:`SpeculativeScheduler.expected_group_utility`'s operation order.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.core.joint.provider import (
 from repro.core.scheduling.base import (
     StepScorer,
     UplinkScheduler,
-    build_schedule,
     build_schedule_fast,
 )
 from repro.core.scheduling.types import BurstTable, SchedulingContext
@@ -229,10 +228,6 @@ class SpeculativeScheduler(UplinkScheduler):
             )
         self.provider = provider
         self.overschedule_factor = float(overschedule_factor)
-        #: Schedule calls served by the vectorized flavour — the perf
-        #: harness asserts this is non-zero to catch silent legacy
-        #: fallbacks.
-        self.fast_path_schedules = 0
         #: Provider counter values already published to the obs registry.
         self._published_cache_hits = 0
         self._published_cache_misses = 0
@@ -240,12 +235,8 @@ class SpeculativeScheduler(UplinkScheduler):
     def expected_group_utility(
         self, context: SchedulingContext, rb: int, group: Sequence[int]
     ) -> float:
-        """Eqn. 4 for one candidate group on one RB.
-
-        The scalar reference the vectorized scorer is checked against: it
-        re-filters the full pattern table per member, exactly as the
-        original implementation did.
-        """
+        """Eqn. 4 for one candidate group on one RB, in direct form: it
+        re-filters the full pattern table per member."""
         if not group:
             return 0.0
         m = context.num_antennas
@@ -271,34 +262,6 @@ class SpeculativeScheduler(UplinkScheduler):
         rb_utilities: Optional[Dict[int, float]] = (
             {} if registry is not None else None
         )
-
-        if context.vectorized:
-            schedule = self._schedule_fast(context, max_group, rb_utilities)
-        else:
-
-            def utility(rb: int, group: Sequence[int]) -> float:
-                return self.expected_group_utility(context, rb, group)
-
-            schedule = build_schedule(
-                context,
-                rb_utility=utility,
-                max_group_size=max_group,
-                grant_streams=lambda size: max(
-                    min(size, context.num_antennas), 1
-                ),
-                rb_utilities=rb_utilities,
-            )
-        if registry is not None:
-            self._record_metrics(registry, context, schedule, rb_utilities)
-        return schedule
-
-    def _schedule_fast(
-        self,
-        context: SchedulingContext,
-        max_group: int,
-        rb_utilities: Optional[Dict[int, float]],
-    ) -> SubframeSchedule:
-        """The vectorized flavour: batched weights, cached service maps."""
         max_streams = min(context.num_antennas, MAX_ORTHOGONAL_PILOTS)
         table = BurstTable(context, max_streams)
         provider = self.provider
@@ -315,7 +278,8 @@ class SpeculativeScheduler(UplinkScheduler):
             scorer=scorer,
             rb_utilities=rb_utilities,
         )
-        self.fast_path_schedules += 1
+        if registry is not None:
+            self._record_metrics(registry, context, schedule, rb_utilities)
         return schedule
 
     def _record_metrics(
@@ -329,8 +293,8 @@ class SpeculativeScheduler(UplinkScheduler):
 
         The per-RB utilities are the ones the greedy builder already
         computed (captured through ``rb_utilities``), so enabling metrics
-        no longer re-prices every allocated RB; the scalar recompute
-        remains only as a fallback for callers that bypassed the builders.
+        does not re-price the burst; :meth:`expected_group_utility`
+        recomputes only for callers that pass no utilities.
         """
         registry.counter(
             "scheduler.schedule_calls",

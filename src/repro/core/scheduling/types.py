@@ -22,7 +22,6 @@ __all__ = [
     "SchedulingContext",
     "BurstTable",
     "CompactColumns",
-    "compact_tensors",
 ]
 
 
@@ -60,14 +59,9 @@ class SchedulingContext:
     #: within a grant burst rarely drops a stream (outage becomes the
     #: exception, not the rule).
     link_margin_db: float = 2.0
-    #: When True, ``rate_bps`` reads from a whole-cell rate matrix computed
-    #: in one vectorized pass (bit-identical values); when False it uses
-    #: the original per-(ue, rb) scalar path.  The simulation engine's
-    #: legacy reference path sets this to False.
-    vectorized: bool = True
     #: Optional pre-built dense ``(max_ue_id + 1, num_rbs)`` SINR matrix
-    #: whose rows match ``sinr_db`` exactly (the engine's fast path hands
-    #: over its CSI snapshot directly, skipping the per-UE row copies).
+    #: whose rows match ``sinr_db`` exactly (the engine hands over its CSI
+    #: snapshot directly, skipping the per-UE row copies).
     sinr_matrix: Optional[np.ndarray] = None
     _rate_cache: Dict[Tuple[int, int, int], float] = field(
         default_factory=dict, repr=False
@@ -94,9 +88,9 @@ class SchedulingContext:
                 f"max_distinct_ues must be positive: {self.max_distinct_ues}"
             )
         if self.sinr_matrix is not None:
-            # The engine's fast path hands over its own CSI snapshot; the
-            # per-UE consistency checks below would re-validate what the
-            # engine already guarantees, on every scheduling call.
+            # The engine hands over its own CSI snapshot; the per-UE
+            # consistency checks below would re-validate what the engine
+            # already guarantees, on every scheduling call.
             return
         for ue in self.ue_ids:
             if ue not in self.sinr_db:
@@ -124,13 +118,13 @@ class SchedulingContext:
         rate_scale: float,
         link_margin_db: float,
     ) -> "SchedulingContext":
-        """Hot-path constructor for the engine's vectorized flavour.
+        """Hot-path constructor for the engine.
 
-        Equivalent to the dataclass constructor with ``vectorized=True``
-        and a pre-built ``sinr_matrix`` (whose presence already skips the
-        per-UE validation), but bypasses the generated ``__init__``
-        machinery; the engine guarantees the invariants the skipped
-        validation would re-check.
+        Equivalent to the dataclass constructor with a pre-built
+        ``sinr_matrix`` (whose presence already skips the per-UE
+        validation), but bypasses the generated ``__init__`` machinery;
+        the engine guarantees the invariants the skipped validation would
+        re-check.
         """
         self = object.__new__(cls)
         self.subframe = subframe
@@ -143,7 +137,6 @@ class SchedulingContext:
         self.clear_ues = clear_ues
         self.rate_scale = rate_scale
         self.link_margin_db = link_margin_db
-        self.vectorized = True
         self.sinr_matrix = sinr_matrix
         self._rate_cache = {}
         self._sinr_matrix = None
@@ -169,9 +162,10 @@ class SchedulingContext:
     def rate_matrix(self, streams: int = 1) -> np.ndarray:
         """All ``r_{i,b}`` at one stream count, as a dense-by-UE-id matrix.
 
-        One vectorized CQI pass over the whole cell; entries are
-        bit-identical to the scalar :meth:`rate_bps` (same SINR arithmetic,
-        same CQI bisection, same scaling order).
+        One array CQI pass over the whole cell; each entry is
+        ``rate_scale * mcs.rb_rate_bps((sinr + penalty) - link_margin_db)``
+        bit for bit (same SINR arithmetic, same CQI bisection, same
+        scaling order).
         """
         cached = self._rate_matrices.get(streams)
         if cached is None:
@@ -208,14 +202,7 @@ class SchedulingContext:
         key = (ue, rb, streams)
         cached = self._rate_cache.get(key)
         if cached is None:
-            if self.vectorized:
-                cached = float(self.rate_matrix(streams)[ue, rb])
-            else:
-                penalty = mumimo_sinr_penalty_db(streams, self.num_antennas)
-                sinr = (
-                    float(self.sinr_db[ue][rb]) + penalty - self.link_margin_db
-                )
-                cached = self.rate_scale * mcs.rb_rate_bps(sinr)
+            cached = float(self.rate_matrix(streams)[ue, rb])
             self._rate_cache[key] = cached
         return cached
 
@@ -236,7 +223,7 @@ class BurstTable:
     The rate-dependent half of the Eqn. 4 factoring, batched: everything
     that depends only on this burst's CSI snapshot — grant rates
     ``r_{i,b,g}`` and PF weights ``r_{i,b,g} / R_i`` for every stream count
-    ``1..max_streams`` — is computed in a few vectorized CQI passes and
+    ``1..max_streams`` — is computed in a few batched CQI passes and
     exposed as plain Python rows (``row[ue_id] -> float``) the greedy scan
     reads at list-indexing speed.
 
@@ -251,22 +238,20 @@ class BurstTable:
       just the distinct admitted clients, shrinking the CQI pass and every
       subsequent scan row from ``U`` to ``K`` entries.
     * **Row boxing** — weight and rate rows stay unboxed ndarray data
-      until an interpreted scan or a grant actually needs them (float
-      boxing is the dominant cost of preparing full tables eagerly, and
-      the compiled greedy kernel reads the tensors directly without ever
-      boxing).
+      until a scan or a grant actually needs them (float boxing is the
+      dominant cost of preparing full tables eagerly).
 
-    Every element is produced by the same IEEE operation sequence as the
-    scalar ``SchedulingContext.pf_weight`` / ``rate_bps`` path, so values
-    are bit-identical: windowing and compaction only change which elements
+    Every element is produced by the same IEEE operation sequence as
+    ``SchedulingContext.pf_weight`` / ``rate_bps``, so values are
+    bit-identical: windowing and compaction only change which elements
     are computed *together*, never the arithmetic on any one element.
 
     ``scale`` and ``offset`` are optional dense per-UE-id vectors applied
     to weight rows as ``scale[i] * w`` then ``w + offset[i]``:
 
     * the access-aware scheduler passes access probabilities as ``scale``
-      (IEEE multiplication is commutative bit-for-bit, so this equals its
-      scalar ``p(i) * w``);
+      (IEEE multiplication is commutative bit-for-bit, so this equals
+      ``p(i) * w``);
     * the oracle passes ``0 / -inf`` as ``offset`` to veto blocked clients
       (finite ``w + -inf = -inf`` exactly, and ``w + 0.0 = w`` bitwise for
       the non-negative weights here — no ``-0.0`` can occur).
@@ -327,15 +312,14 @@ class BurstTable:
         self._max_streams = max_streams
         # Window policy: on small grids the fixed per-pass numpy dispatch
         # dominates the marginal per-element work, so one full-grid pass
-        # beats windowing (and lets the kernel driver schedule everything
-        # in a single call).  On large grids, windows sized to the RBs
+        # beats windowing.  On large grids, windows sized to the RBs
         # the distinct-client budget K typically survives avoid computing
         # full-width columns the saturated walk never reads: each
         # pre-saturation RB usually admits a full group of newcomers, so
         # the budget saturates in about ceil(K / group size) RBs.
         # Correctness does not depend on the guess, only the number of
         # batched passes does (undershooting grows geometrically,
-        # overshooting costs only vectorized arithmetic).
+        # overshooting costs only array arithmetic).
         if num_ues * self._num_rbs <= 600:
             self._window = self._num_rbs
         else:
@@ -362,10 +346,8 @@ class BurstTable:
         if self._offset is not None:
             weights = weights + self._offset[None, :, None]
         if start == 0:
-            # First window: adopt the freshly computed slabs directly
-            # (contiguity is what the compiled kernel strides over).
-            self._rates = np.ascontiguousarray(rates)
-            self._weights = np.ascontiguousarray(weights)
+            self._rates = rates
+            self._weights = weights
         else:
             shape = (self._max_streams, self._sinr.shape[0], end)
             grown_rates = np.empty(shape)
@@ -377,29 +359,6 @@ class BurstTable:
             grown_weights[:, :, start:] = weights
             self._weights = grown_weights
         self._end = end
-
-    def ensure_window(self, rb: int) -> int:
-        """Extend the computed RB window to cover ``rb``; return its end."""
-        if rb >= self._end:
-            self._extend_to(rb)
-        return self._end
-
-    @property
-    def num_slots(self) -> int:
-        """Dense per-UE-id row length (``max_ue_id + 1``)."""
-        return self._sinr.shape[0]
-
-    @property
-    def weights_tensor(self) -> np.ndarray:
-        """Unboxed ``(streams, slot, rb)`` weight slab covering the computed
-        RB window ``[0, ensure_window(rb))`` — its third dimension is the
-        window end, not ``num_rbs``."""
-        return self._weights
-
-    @property
-    def rates_tensor(self) -> np.ndarray:
-        """Unboxed ``(streams, slot, rb)`` grant-rate slab (same window)."""
-        return self._rates
 
     def weight_row(self, streams: int, rb: int) -> List[float]:
         """Per-UE-id weight row for one (stream count, RB), boxed."""
@@ -438,31 +397,6 @@ class BurstTable:
         return CompactColumns(self, ids, start)
 
 
-def compact_tensors(
-    table: BurstTable, index: np.ndarray, start: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unboxed ``(rates, weights)`` tensors over gathered client rows.
-
-    Shapes are ``(streams, len(index), num_rbs - start)``.  The gather
-    copies input floats untouched and the elementwise arithmetic is the
-    identical operation sequence the full-width table runs, so every entry
-    is bit-identical to the corresponding full-width entry — restricting
-    the RB range only changes which elements are computed, never the
-    arithmetic on any one of them.
-    """
-    shifted = (
-        table._sinr[index][:, start:][None, :, :]
-        + table._penalties[:, None, None]
-    ) - table._margin
-    rates = mcs.scaled_rb_rate_bps_array(shifted, table._rate_scale)
-    weights = rates / table._averages[index][None, :, None]
-    if table._scale is not None:
-        weights = table._scale[index][None, :, None] * weights
-    if table._offset is not None:
-        weights = weights + table._offset[index][None, :, None]
-    return rates, weights
-
-
 class CompactColumns:
     """Weight/rate columns over a fixed ascending candidate id list.
 
@@ -472,8 +406,12 @@ class CompactColumns:
     entries instead of the dense UE-id range.  ``start`` trims the CQI
     pass to the RBs the saturated walk can still visit; row lists stay
     indexed by global RB (entries below ``start`` are ``None`` and are
-    never consulted).  Entries are bit-identical to the full-width
-    table's (see :func:`compact_tensors`).
+    never consulted).
+
+    The gather copies input floats untouched and the elementwise
+    arithmetic is the identical operation sequence the full-width table
+    runs, so every entry is bit-identical to the corresponding full-width
+    entry.
     """
 
     __slots__ = ("ids", "start", "weight_rows", "_rates", "_rate_rows")
@@ -484,7 +422,16 @@ class CompactColumns:
         self.ids = list(ids)
         self.start = start
         index = np.asarray(self.ids, dtype=int)
-        rates, weights = compact_tensors(table, index, start)
+        shifted = (
+            table._sinr[index][:, start:][None, :, :]
+            + table._penalties[:, None, None]
+        ) - table._margin
+        rates = mcs.scaled_rb_rate_bps_array(shifted, table._rate_scale)
+        weights = rates / table._averages[index][None, :, None]
+        if table._scale is not None:
+            weights = table._scale[index][None, :, None] * weights
+        if table._offset is not None:
+            weights = weights + table._offset[index][None, :, None]
         pad: List[Optional[List[float]]] = [None] * start
         self.weight_rows = [None] + [
             pad + rows for rows in weights.transpose(0, 2, 1).tolist()

@@ -189,7 +189,7 @@ class Deployment:
 def _rx_power_dbm(
     tx_power_dbm: float, distance_m: np.ndarray, exponent: float
 ) -> np.ndarray:
-    """Vectorized log-distance received power (mirrors ``PathLossModel``)."""
+    """Array-wise log-distance received power (mirrors ``PathLossModel``)."""
     d = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
     return tx_power_dbm - (40.0 + 10.0 * exponent * np.log10(d))
 
@@ -347,7 +347,7 @@ def build_deployment(spec: DeploymentSpec) -> Deployment:
         wifi_positions = ()
         wifi_activity = ()
 
-    # -- vectorized received-power maps ------------------------------------
+    # -- array received-power maps -----------------------------------------
     ue_xy = _positions_array(tuple(ue_positions))
     enb_xy = _positions_array(enbs)
     exponent = radio.path_loss_exponent

@@ -191,7 +191,6 @@ class DeploymentSpec:
     channel_assignment: str = "round-robin"
     channel_spacing_mhz: float = 20.0
     seed: int = 0
-    fast_path: bool = True
     record_series: bool = False
     #: Observability for every cell's run; ``None`` collects nothing.
     obs: Optional[ObsConfig] = None
@@ -276,7 +275,6 @@ class DeploymentSpec:
             "channel_assignment": self.channel_assignment,
             "channel_spacing_mhz": self.channel_spacing_mhz,
             "seed": self.seed,
-            "fast_path": self.fast_path,
             "record_series": self.record_series,
             "obs": self.obs.to_dict() if self.obs else None,
             "faults": self.faults.to_dict() if self.faults else None,
@@ -311,7 +309,6 @@ class DeploymentSpec:
                 "channel_assignment",
                 "channel_spacing_mhz",
                 "seed",
-                "fast_path",
                 "record_series",
                 "obs",
                 "faults",
@@ -339,7 +336,6 @@ class DeploymentSpec:
             channel_assignment=data.get("channel_assignment", "round-robin"),
             channel_spacing_mhz=float(data.get("channel_spacing_mhz", 20.0)),
             seed=int(data.get("seed", 0)),
-            fast_path=bool(data.get("fast_path", True)),
             record_series=bool(data.get("record_series", False)),
             obs=(
                 ObsConfig.from_dict(data["obs"])

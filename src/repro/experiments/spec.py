@@ -281,7 +281,6 @@ class ExperimentSpec:
     timeline: Optional[TimelineSpec] = None
     seed: Optional[int] = 0
     record_series: bool = False
-    fast_path: bool = True
     #: Observability (metrics/tracing) for every run of this spec;
     #: ``None`` — the default — collects nothing.
     obs: Optional[ObsConfig] = None
@@ -333,7 +332,6 @@ class ExperimentSpec:
             "timeline": self.timeline.to_dict() if self.timeline else None,
             "seed": self.seed,
             "record_series": self.record_series,
-            "fast_path": self.fast_path,
             "obs": self.obs.to_dict() if self.obs else None,
             "faults": self.faults.to_dict() if self.faults else None,
             "channels": self.channels.to_dict() if self.channels else None,
@@ -355,7 +353,6 @@ class ExperimentSpec:
                 "timeline",
                 "seed",
                 "record_series",
-                "fast_path",
                 "obs",
                 "faults",
                 "channels",
@@ -386,7 +383,6 @@ class ExperimentSpec:
             ),
             seed=seed,
             record_series=bool(data.get("record_series", False)),
-            fast_path=bool(data.get("fast_path", True)),
             obs=(
                 ObsConfig.from_dict(data["obs"])
                 if data.get("obs") is not None

@@ -4,25 +4,21 @@ The eNB is the only node in the cell that contends for the channel
 (Fig. 2b): it runs CCA/backoff against interference *it* can hear, then owns
 a TxOP of a few subframes.  The DL part of the TxOP carries grants; the UL
 part carries the scheduled client transmissions, each gated by the client's
-own CCA.  Reception on every RB follows :func:`repro.lte.phy.receive_rb`.
+own CCA.  Reception on every RB follows :func:`repro.lte.phy.receive_rb`
+(inlined in :meth:`ENodeB.receive_subframe`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.lte import consts, mcs
 from repro.lte.noma import receive_rb_sic
-from repro.lte.phy import (
-    GrantOutcome,
-    RBReception,
-    mumimo_sinr_penalty_db,
-    receive_rb,
-)
+from repro.lte.phy import GrantOutcome, RBReception, mumimo_sinr_penalty_db
 from repro.lte.pilots import PilotObservation
 from repro.lte.resources import SubframeSchedule, TxOp
 
@@ -126,6 +122,10 @@ class ENodeB:
     ) -> SubframeReception:
         """Decode one uplink subframe.
 
+        The linear receiver's per-RB decode (:func:`repro.lte.phy.receive_rb`)
+        is inlined here; the SIC receiver decodes each RB through
+        :func:`repro.lte.noma.receive_rb_sic`.
+
         Args:
             subframe: absolute subframe index (for bookkeeping).
             schedule: the grants issued for this subframe.
@@ -134,53 +134,29 @@ class ENodeB:
                 subframe, not per RB — the whole carrier is sensed).
             sinr_db_by_ue_rb: per-UE instantaneous SINRs, indexable by RB —
                 a ``{rb: sinr_db}`` dict or a per-RB ndarray row (the
-                engine's fast path hands channel-bank rows in directly).
+                engine hands channel-bank rows in directly).
         """
         transmitting = set(transmitting_ues)
         result = SubframeReception(subframe=subframe)
-        receive = receive_rb_sic if self.receiver == "sic" else receive_rb
-        for rb in schedule.allocated_rbs():
-            rb_schedule = schedule.rb(rb)
-            rb_transmitters = [u for u in rb_schedule.ue_ids if u in transmitting]
-            sinr_by_ue = {
-                ue: sinr_db_by_ue_rb[ue][rb]
-                for ue in rb_transmitters
-                if ue in sinr_db_by_ue_rb
-            }
-            result.rb_receptions[rb] = receive(
-                rb_schedule=rb_schedule,
-                transmitting_ues=rb_transmitters,
-                sinr_db_by_ue=sinr_by_ue,
-                num_antennas=self.num_antennas,
-                subframe_duration_s=consts.SUBFRAME_DURATION_S,
-                rate_scale=self.rate_scale,
-            )
-        return result
-
-    def receive_subframe_fast(
-        self,
-        subframe: int,
-        schedule: SubframeSchedule,
-        transmitting_ues: Sequence[int],
-        sinr_db_by_ue_rb: Mapping[int, "Mapping[int, float] | np.ndarray"],
-    ) -> SubframeReception:
-        """:meth:`receive_subframe` with the per-RB decode inlined.
-
-        For the linear receiver this skips the per-RB validation and
-        dictionary shuffling of :func:`repro.lte.phy.receive_rb` (the engine
-        already guarantees transmitters are granted and SINRs are present)
-        while producing identical :class:`RBReception` objects.  The SIC
-        receiver falls back to the generic path.
-        """
-        if self.receiver != "linear":
-            return self.receive_subframe(
-                subframe=subframe,
-                schedule=schedule,
-                transmitting_ues=transmitting_ues,
-                sinr_db_by_ue_rb=sinr_db_by_ue_rb,
-            )
-        transmitting = set(transmitting_ues)
-        result = SubframeReception(subframe=subframe)
+        if self.receiver == "sic":
+            for rb in schedule.allocated_rbs():
+                rb_schedule = schedule.rb(rb)
+                rb_transmitters = [
+                    u for u in rb_schedule.ue_ids if u in transmitting
+                ]
+                result.rb_receptions[rb] = receive_rb_sic(
+                    rb_schedule=rb_schedule,
+                    transmitting_ues=rb_transmitters,
+                    sinr_db_by_ue={
+                        ue: sinr_db_by_ue_rb[ue][rb]
+                        for ue in rb_transmitters
+                        if ue in sinr_db_by_ue_rb
+                    },
+                    num_antennas=self.num_antennas,
+                    subframe_duration_s=consts.SUBFRAME_DURATION_S,
+                    rate_scale=self.rate_scale,
+                )
+            return result
         antennas = self.num_antennas
         scale = self.rate_scale
         bits_per_bps = consts.SUBFRAME_DURATION_S

@@ -122,7 +122,7 @@ def sinr_to_cqi(sinr_db: float) -> int:
 
 
 def sinr_to_cqi_array(sinr_db: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sinr_to_cqi` over an SINR array."""
+    """:func:`sinr_to_cqi` over an SINR array."""
     return np.searchsorted(_THRESHOLDS_ARRAY, sinr_db, side="right")
 
 
@@ -152,7 +152,7 @@ def rb_rate_bps(sinr_db: float) -> float:
 
 
 def rb_rate_bps_array(sinr_db: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rb_rate_bps` over an SINR array.
+    """:func:`rb_rate_bps` over an SINR array.
 
     Element-for-element identical to the scalar function: CQI selection is
     the same bisection, and the per-CQI rates are precomputed with the same

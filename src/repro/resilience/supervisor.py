@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections import deque
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
@@ -456,14 +457,32 @@ def _pool_loop(fn, items, jobs, config, worker_fault, on_result, fail_fast,
                 telemetry=telemetry, label=label_of(index),
             )
 
-        for index in range(len(items)):
-            submit(index, 0, time.perf_counter())
+        # First attempts not yet submitted, and abandoned (timed-out)
+        # futures whose worker may still be busy.
+        pending = deque(range(len(items)))
+        hung: List[Any] = []
 
-        while running or retry_queue:
+        def fill() -> None:
+            """Submit due retries, then fresh items, into the free workers.
+
+            At most one attempt per free worker is in flight, so an attempt's
+            deadline and its item's clock start when a worker can take it,
+            not while it waits in the pool's queue.
+            """
+            hung[:] = [future for future in hung if not future.done()]
+            free = max(1, jobs - len(hung)) - len(running)
             now = time.monotonic()
-            while retry_queue and retry_queue[0][0] <= now:
+            while free > 0 and retry_queue and retry_queue[0][0] <= now:
                 _, index, attempt, item_started = heapq.heappop(retry_queue)
                 submit(index, attempt, item_started)
+                free -= 1
+            while free > 0 and pending:
+                submit(pending.popleft(), 0, time.perf_counter())
+                free -= 1
+
+        fill()
+        while running or retry_queue or pending:
+            now = time.monotonic()
             # Sleep until the nearest attempt deadline or retry due time.
             bounds = [
                 deadline - now
@@ -475,6 +494,7 @@ def _pool_loop(fn, items, jobs, config, worker_fault, on_result, fail_fast,
             wait_s = max(0.0, min(bounds)) if bounds else None
             if not running:
                 time.sleep(wait_s or 0.0)
+                fill()
                 continue
             done, _pending = futures_wait(
                 set(running), timeout=wait_s, return_when=FIRST_COMPLETED
@@ -484,16 +504,18 @@ def _pool_loop(fn, items, jobs, config, worker_fault, on_result, fail_fast,
                 error = future.exception()
                 if error is None:
                     result = future.result()
+                    elapsed_s = time.perf_counter() - item_started
                     outcome.results[index] = result
                     counters.inc(counters.completed)
+                    # Keep the worker busy while the result is handled
+                    # (checkpoint writes, telemetry).
+                    fill()
                     if telemetry is not None:
                         telemetry.emit(
                             "item-done",
                             item=label_of(index),
                             attempts=attempt + 1,
-                            elapsed_s=round(
-                                time.perf_counter() - item_started, 3
-                            ),
+                            elapsed_s=round(elapsed_s, 3),
                         )
                     if on_result is not None:
                         on_result(index, result)
@@ -512,6 +534,7 @@ def _pool_loop(fn, items, jobs, config, worker_fault, on_result, fail_fast,
                 # The worker cannot be killed; abandon the future (its
                 # eventual completion is ignored) and count the timeout.
                 future.cancel()
+                hung.append(future)
                 abandoned = True
                 outcome.timeouts += 1
                 counters.inc(counters.timeouts)
@@ -529,6 +552,7 @@ def _pool_loop(fn, items, jobs, config, worker_fault, on_result, fail_fast,
                 fail_or_retry(
                     index, attempt, item_started, error, timed_out=True
                 )
+            fill()
     finally:
         # Abandoned (hung) workers must not block the caller: skip the
         # join and let them exit on their own once the hang clears.

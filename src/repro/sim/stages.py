@@ -8,18 +8,11 @@ transmission/decoding, HARQ/feedback.  Each step is a
 apply to the current subframe kind (idle / DL / UL) in order, firing
 :class:`SimHooks` callbacks around each one.
 
-Two concrete stage families implement the medium-facing steps:
-
-* the **vectorized** stages (``Vectorized*``) drive the
-  :class:`~repro.lte.channel.UplinkChannelBank` and the topology's cached
-  edge matrix with array ops;
-* the **legacy** stages (``Legacy*``) step per-UE channel objects and
-  per-terminal activity processes — the bit-exact scalar reference.
-
-Both families consume the engine's RNG streams identically, so a seeded
-run produces the same :class:`~repro.sim.results.SimulationResult` on
-either path; ``tests/sim/test_pipeline_equivalence.py`` pins that contract
-against pre-refactor snapshots.
+The medium-facing stages drive the
+:class:`~repro.lte.channel.UplinkChannelBank` and the topology's cached
+edge matrix with array ops.  A seeded run's
+:class:`~repro.sim.results.SimulationResult` is pinned by the golden
+corpus under ``tests/golden``.
 
 Hooks subsume the engine's older perf phase hooks:
 :class:`PhaseTimerHooks` adapts a :class:`~repro.obs.timing.PhaseTimer`
@@ -38,7 +31,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -68,16 +60,10 @@ __all__ = [
     "SubframeStage",
     "TimelineStage",
     "InterferenceStage",
-    "VectorizedInterferenceStage",
-    "LegacyInterferenceStage",
     "ChannelStage",
-    "VectorizedChannelStage",
-    "LegacyChannelStage",
     "ArrivalStage",
     "ScheduleStage",
     "TransmitDecodeStage",
-    "VectorizedTransmitDecodeStage",
-    "LegacyTransmitDecodeStage",
     "HarqFeedbackStage",
     "SubframePipeline",
     "build_subframe_pipeline",
@@ -241,7 +227,7 @@ class TimelineStage(SubframeStage):
     """Apply scripted environment churn at the subframe boundary.
 
     Events land *before* the medium is sampled, so an arrival at subframe
-    ``t`` already contends in subframe ``t`` — on both engine paths.
+    ``t`` already contends in subframe ``t``.
     """
 
     name = "timeline"
@@ -255,8 +241,9 @@ class TimelineStage(SubframeStage):
 class InterferenceStage(SubframeStage):
     """Advance hidden-terminal activity one subframe; resolve CCA.
 
-    Writes the silenced-UE set (clients whose CCA fails this subframe)
-    into the context.
+    Batch activity sampling, then a boolean reduction over the topology's
+    edge matrix (or the engine's custom silencer) writes the silenced-UE
+    set (clients whose CCA fails this subframe) into the context.
     """
 
     name = "interference"
@@ -264,13 +251,6 @@ class InterferenceStage(SubframeStage):
 
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
         ctx.silenced = self.step(sim)
-
-    def step(self, sim: "CellSimulation") -> Set[int]:
-        raise NotImplementedError
-
-
-class VectorizedInterferenceStage(InterferenceStage):
-    """Batch activity sampling + boolean reduction over the edge matrix."""
 
     def step(self, sim: "CellSimulation") -> Set[int]:
         active_vec = sim._activity.step_vector()
@@ -283,44 +263,17 @@ class VectorizedInterferenceStage(InterferenceStage):
         return {int(ue) for ue in np.flatnonzero(hit)}
 
 
-class LegacyInterferenceStage(InterferenceStage):
-    """Per-terminal process stepping + per-UE edge-set intersection."""
-
-    def step(self, sim: "CellSimulation") -> Set[int]:
-        active = sim._activity.step()
-        if sim._silencer is not None:
-            return set(sim._silencer(active))
-        return {
-            ue
-            for ue, edges in sim._ue_edges.items()
-            if edges & active
-        }
-
-
 class ChannelStage(SubframeStage):
-    """Advance every UE's fading channel; snapshot CSI for delayed feedback."""
+    """Advance every UE's fading channel in one ``(num_ues, num_rbs)``
+    array step through the channel bank; snapshot CSI for delayed
+    feedback."""
 
     name = "channels"
     phase = "channels"
 
-
-class VectorizedChannelStage(ChannelStage):
-    """One ``(num_ues, num_rbs)`` array step through the channel bank."""
-
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
         sim._bank.step()
         sim._csi_history.append(sim._bank.sinr_db.copy())
-
-
-class LegacyChannelStage(ChannelStage):
-    """Per-UE channel objects stepped one by one."""
-
-    def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
-        for channel in sim._channels.values():
-            channel.step()
-        sim._csi_history.append(
-            {ue: ch.sinr_db.copy() for ue, ch in sim._channels.items()}
-        )
 
 
 class ArrivalStage(SubframeStage):
@@ -356,33 +309,27 @@ class ScheduleStage(SubframeStage):
 class TransmitDecodeStage(SubframeStage):
     """Scheduled UEs sense and transmit; the eNB decodes every RB.
 
-    Accounts grant outcomes, RB utilization and raw delivered bits in one
-    pass over the receptions (identity checks, no enum hashing), leaving
-    HARQ resolution and feedback to the next stage.
+    The eNB reads views of the channel bank's SINR rows (no per-RB
+    copies).  Accounts grant outcomes, RB utilization and raw delivered
+    bits in one pass over the receptions (identity checks, no enum
+    hashing), leaving HARQ resolution and feedback to the next stage.
     """
 
     name = "transmit-decode"
     phase = "receive"
     kinds = (UPLINK,)
 
-    def sinr_views(
-        self, sim: "CellSimulation", scheduled: Set[int]
-    ) -> Mapping[int, object]:
-        raise NotImplementedError
-
-    def receive(self, sim: "CellSimulation"):
-        raise NotImplementedError
-
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
         schedule = ctx.schedule
         result = ctx.result
         scheduled = set(schedule.scheduled_ues())
         ctx.transmitting = sorted(scheduled - ctx.silenced)
-        reception = self.receive(sim)(
+        sinr_matrix = sim._bank.sinr_db
+        reception = sim.enb.receive_subframe(
             subframe=ctx.subframe,
             schedule=schedule,
             transmitting_ues=ctx.transmitting,
-            sinr_db_by_ue_rb=self.sinr_views(sim, scheduled),
+            sinr_db_by_ue_rb={ue: sinr_matrix[ue] for ue in scheduled},
         )
         ctx.reception = reception
 
@@ -419,33 +366,6 @@ class TransmitDecodeStage(SubframeStage):
             result.fully_utilized_subframes += 1
         if sim.record_series and allocated:
             result.utilization_series.append(utilized / len(allocated))
-
-
-class VectorizedTransmitDecodeStage(TransmitDecodeStage):
-    """Hand the eNB views of the bank's SINR rows; no per-RB copies."""
-
-    def sinr_views(self, sim: "CellSimulation", scheduled: Set[int]):
-        sinr_matrix = sim._bank.sinr_db
-        return {ue: sinr_matrix[ue] for ue in scheduled}
-
-    def receive(self, sim: "CellSimulation"):
-        return sim.enb.receive_subframe_fast
-
-
-class LegacyTransmitDecodeStage(TransmitDecodeStage):
-    """Per-(UE, RB) scalar SINR dicts through the reference receiver."""
-
-    def sinr_views(self, sim: "CellSimulation", scheduled: Set[int]):
-        return {
-            ue: {
-                rb: float(sim._channels[ue].sinr_db[rb])
-                for rb in range(sim.config.num_rbs)
-            }
-            for ue in scheduled
-        }
-
-    def receive(self, sim: "CellSimulation"):
-        return sim.enb.receive_subframe
 
 
 class HarqFeedbackStage(SubframeStage):
@@ -530,33 +450,15 @@ class SubframePipeline:
         hooks.on_subframe_end(ctx)
 
 
-def build_subframe_pipeline(
-    fast_path: bool, hooks: Optional[SimHooks] = None
-) -> SubframePipeline:
-    """The canonical stage order for one engine path.
-
-    Both paths share the timeline/arrival/schedule/HARQ stages; the
-    medium-facing stages (interference, channels, transmit/decode) come in
-    vectorized and legacy flavours that consume RNG streams identically.
-    """
-    if fast_path:
-        stages: List[SubframeStage] = [
-            TimelineStage(),
-            VectorizedInterferenceStage(),
-            VectorizedChannelStage(),
-            ArrivalStage(),
-            ScheduleStage(),
-            VectorizedTransmitDecodeStage(),
-            HarqFeedbackStage(),
-        ]
-    else:
-        stages = [
-            TimelineStage(),
-            LegacyInterferenceStage(),
-            LegacyChannelStage(),
-            ArrivalStage(),
-            ScheduleStage(),
-            LegacyTransmitDecodeStage(),
-            HarqFeedbackStage(),
-        ]
+def build_subframe_pipeline(hooks: Optional[SimHooks] = None) -> SubframePipeline:
+    """The canonical stage order."""
+    stages: List[SubframeStage] = [
+        TimelineStage(),
+        InterferenceStage(),
+        ChannelStage(),
+        ArrivalStage(),
+        ScheduleStage(),
+        TransmitDecodeStage(),
+        HarqFeedbackStage(),
+    ]
     return SubframePipeline(stages, hooks=hooks)

@@ -50,7 +50,7 @@ class ActivityProcess:
         Produces exactly the sequence ``n`` successive :meth:`step` calls
         would, consuming the process RNG identically, so batched and
         per-subframe stepping are interchangeable under a fixed seed.
-        Subclasses override this with a vectorized draw where possible.
+        Subclasses override this with a batched draw where possible.
         """
         return np.fromiter(
             (self.step() for _ in range(n)), dtype=bool, count=n
@@ -253,7 +253,7 @@ class JointActivityModel:
     def step_vector(self) -> np.ndarray:
         """Advance one subframe; return the busy mask as a boolean vector.
 
-        The default adapts :meth:`step`; models with a native vectorized
+        The default adapts :meth:`step`; models with a native batched
         sampler (see :class:`IndependentActivity`) override it.  A model
         instance must be driven through one interface or the other, not a
         mix — both consume the same randomness, but implementations may

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.deploy import DeploymentSpec, PlacementSpec, build_deployment, run_campaign
+from repro.deploy import runner
 from repro.deploy.runner import resume_campaign
 from repro.errors import CheckpointError
 from repro.experiments import resume_checkpoint
@@ -162,6 +163,22 @@ class TestReportAndObs:
 
     def test_no_obs_no_snapshot(self, serial_campaign):
         assert serial_campaign.obs_snapshot() is None
+
+    @pytest.mark.parametrize("obs", [None, ObsConfig(enabled=True)])
+    def test_one_engine_per_cell(self, monkeypatch, serial_campaign, obs):
+        built = []
+
+        class CountingSimulation(runner.CellSimulation):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("seed"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "CellSimulation", CountingSimulation)
+        campaign = run_campaign(campaign_spec(obs=obs), n_jobs=1)
+        assert len(built) == campaign.num_cells == 10
+        for cell_id, result in campaign.cell_results.items():
+            plain = serial_campaign.cell_results[cell_id]
+            assert result.to_dict() == plain.to_dict()
 
 
 class TestSchedulerVariants:

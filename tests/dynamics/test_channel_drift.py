@@ -3,46 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError, SpecError
-from repro.experiments import (
-    ChannelSpec,
-    ExperimentSpec,
-    ScenarioSpec,
-    SchedulerSpec,
-    TimelineSpec,
-    run_experiment,
-)
-from repro.sim.config import SimulationConfig
-from repro.spectrum import ChannelPlan
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.topology.scenarios import channel_drift_timeline
-
-
-def drift_spec(fast_path: bool = True) -> ExperimentSpec:
-    return ExperimentSpec(
-        name="fig1-channel-drift",
-        scenario=ScenarioSpec(
-            kind="fig1",
-            params={"activity": 0.3},
-            snr={"kind": "uniform", "seed": 3},
-        ),
-        sim=SimulationConfig(num_subframes=800, num_rbs=8),
-        schedulers={"pf": SchedulerSpec("pf")},
-        channels=ChannelSpec(
-            plan=ChannelPlan.spaced(3),
-            terminal_channels=(0, 1, 2),
-            assignment="blueprint",
-        ),
-        timeline=TimelineSpec(
-            kind="channel-duty-drift",
-            params={
-                "drift_at": 200,
-                "channel": 1,
-                "q": 0.9,
-                "terminal_channels": [0, 1, 2],
-            },
-        ),
-        seed=11,
-        fast_path=fast_path,
-    )
+from tests.golden.cases import channel_drift_spec
+from tests.golden.test_golden_corpus import load_corpus
 
 
 class TestTimelineBuilder:
@@ -72,16 +36,17 @@ class TestTimelineBuilder:
 
 class TestComposesWithChannels:
     def test_runs_end_to_end_and_paths_agree(self):
-        fast = run_experiment(drift_spec(fast_path=True))["pf"]
-        legacy = run_experiment(drift_spec(fast_path=False))["pf"]
-        assert fast.to_dict() == legacy.to_dict()
+        # The experiment runner and the corpus case (a bare engine built
+        # from the same spec) must both give the committed output.
+        result = run_experiment(channel_drift_spec())["pf"]
+        assert result.to_dict() == load_corpus()["drift/channel-duty"]
 
     def test_round_trips_through_json(self):
-        spec = drift_spec()
+        spec = channel_drift_spec()
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
     def test_unknown_timeline_param_is_spec_error(self):
-        spec = drift_spec()
+        spec = channel_drift_spec()
         payload = spec.to_dict()
         payload["timeline"]["params"]["bogus"] = 1
         with pytest.raises((SpecError, ConfigurationError)):

@@ -1,6 +1,5 @@
 """Unit tests: the environment timeline and its per-run runtime."""
 
-import numpy as np
 import pytest
 
 from repro.dynamics.timeline import (
@@ -188,7 +187,7 @@ class TestScenarioBuilders:
 class TestEngineIntegration:
     """The timeline actually flows through the simulation substrate."""
 
-    def run(self, timeline, fast_path=True, subframes=1500, seed=11):
+    def run(self, timeline, subframes=1500, seed=11):
         from repro.core.scheduling.pf import ProportionalFairScheduler
 
         topology = build_testbed(
@@ -201,7 +200,6 @@ class TestEngineIntegration:
             SimulationConfig(num_subframes=subframes, num_rbs=6),
             seed=seed,
             record_series=True,
-            fast_path=fast_path,
             timeline=timeline,
         )
         return sim.run()
@@ -212,17 +210,6 @@ class TestEngineIntegration:
             hidden_node_churn_timeline(arrive_at=300, q=0.8, ues=(0, 1, 2, 3))
         )
         assert churned.rb_utilization < quiet.rb_utilization
-
-    def test_fast_and_legacy_paths_agree_under_churn(self):
-        timeline = hidden_node_churn_timeline(
-            arrive_at=400, q=0.5, ues=(0, 1), depart_at=1000
-        )
-        fast = self.run(timeline, fast_path=True)
-        legacy = self.run(timeline, fast_path=False)
-        assert fast.aggregate_throughput_mbps == pytest.approx(
-            legacy.aggregate_throughput_mbps
-        )
-        assert np.allclose(fast.utilization_series, legacy.utilization_series)
 
     def test_ue_leave_gates_traffic(self):
         timeline = client_churn_timeline(leave_at=200, ue=0)

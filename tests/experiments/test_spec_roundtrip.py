@@ -55,7 +55,6 @@ class TestRoundTrip:
                 params={"arrive_at": 50, "q": 0.6, "ues": [0, 1]},
             ),
             record_series=True,
-            fast_path=False,
             seed=None,
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec

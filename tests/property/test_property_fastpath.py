@@ -1,29 +1,31 @@
-"""Property: the vectorized schedule flavour is bit-identical to the scalar
-reference — with and without the compiled greedy kernel.
+"""Property: the production schedulers are bit-identical to their scalar
+references.
 
-The fast path's whole contract is that batching (per-burst weight tensors,
-RB windows, candidate compaction, the C greedy kernel) changes *how fast*
-schedules are produced, never *which* schedules.  These properties drive
-every scheduler over randomized topologies, channels, antenna counts,
-distinct-client budgets, and overschedule factors, and require the scalar
-flavour, the pure-Python fast flavour, and the kernel-backed fast flavour
-to emit equal :class:`SubframeSchedule` objects (grant-for-grant, rate
-bits included)."""
+The production schedulers' whole contract is that batching (per-burst
+weight tensors, RB windows, candidate compaction, cached service maps)
+changes *how fast* schedules are produced, never *which* schedules.  These
+properties drive every scheduler over randomized topologies, channels,
+antenna counts, distinct-client budgets, and overschedule factors, and
+require each production scheduler and its scalar reference
+(:mod:`tests.property.scalar_reference`) to emit equal
+:class:`SubframeSchedule` objects (grant-for-grant, rate bits included).
+A third property pins ``SchedulingContext.rate_bps`` to the scalar CQI
+formula bit for bit."""
 
-import os
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.joint.provider import TopologyJointProvider
-from repro.core.scheduling._kernel import kernel_available
 from repro.core.scheduling.access_aware import AccessAwareScheduler
 from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.core.scheduling.types import SchedulingContext
 from repro.topology.graph import InterferenceTopology
+from tests.property.scalar_reference import reference_schedulers, scalar_rate_bps
 
 
 @st.composite
@@ -78,7 +80,7 @@ def scenario_params(draw):
     }
 
 
-def make_context(params, vectorized):
+def make_context(params, link_margin_db=2.0):
     return SchedulingContext(
         subframe=0,
         num_rbs=params["num_rbs"],
@@ -89,7 +91,7 @@ def make_context(params, vectorized):
         max_distinct_ues=params["max_distinct_ues"],
         clear_ues=params["clear"],
         rate_scale=params["rate_scale"],
-        vectorized=vectorized,
+        link_margin_db=link_margin_db,
     )
 
 
@@ -106,39 +108,36 @@ def schedulers_for(params):
     }
 
 
-def run_flavours(make_scheduler, params):
-    """(scalar, fast-pure-python, fast-kernel-if-available) schedules.
+def run_flavours(params):
+    """``{name: (reference, production)}`` schedules of one subframe.
 
     Fresh scheduler and context instances per flavour keep memoized state
     from leaking between them — each run prices the subframe from scratch.
     """
-    scalar = make_scheduler().schedule(make_context(params, vectorized=False))
-    os.environ["REPRO_DISABLE_KERNEL"] = "1"
-    try:
-        pure = make_scheduler().schedule(make_context(params, vectorized=True))
-    finally:
-        os.environ.pop("REPRO_DISABLE_KERNEL", None)
-    kernel = None
-    if kernel_available():
-        kernel = make_scheduler().schedule(
-            make_context(params, vectorized=True)
+    antennas = params["num_antennas"]
+    references = reference_schedulers(
+        TopologyJointProvider(params["topology"]),
+        max(antennas, math.ceil(params["overschedule_factor"] * antennas)),
+    )
+    return {
+        name: (
+            references[name](make_context(params)),
+            make_scheduler().schedule(make_context(params)),
         )
-    return scalar, pure, kernel
+        for name, make_scheduler in schedulers_for(params).items()
+    }
 
 
 @given(scenario_params())
 @settings(max_examples=50, deadline=None)
 def test_fast_flavours_match_scalar(params):
-    for name, make_scheduler in schedulers_for(params).items():
-        scalar, pure, kernel = run_flavours(make_scheduler, params)
-        assert pure == scalar, f"{name}: pure-python fast flavour diverged"
-        if kernel is not None:
-            assert kernel == scalar, f"{name}: kernel flavour diverged"
+    for name, (reference, production) in run_flavours(params).items():
+        assert production == reference, f"{name}: diverged from the reference"
 
 
 def test_exact_tie_breaks_toward_lowest_id():
     """Identical channels and averages make every weight an exact tie; the
-    ``1e-15`` chain scan must then keep the lowest id in all flavours."""
+    ``1e-15`` chain scan must then keep the lowest id in both flavours."""
     num_ues, num_rbs = 4, 3
     params = {
         "topology": InterferenceTopology.build(num_ues, []),
@@ -152,13 +151,10 @@ def test_exact_tie_breaks_toward_lowest_id():
         "clear": frozenset(range(num_ues)),
         "overschedule_factor": 2.0,
     }
-    for name, make_scheduler in schedulers_for(params).items():
-        scalar, pure, kernel = run_flavours(make_scheduler, params)
-        assert pure == scalar, f"{name}: pure-python fast flavour diverged"
-        if kernel is not None:
-            assert kernel == scalar, f"{name}: kernel flavour diverged"
+    for name, (reference, production) in run_flavours(params).items():
+        assert production == reference, f"{name}: diverged from the reference"
         for rb in range(num_rbs):
-            granted = [g.ue_id for g in scalar.rb(rb)]
+            granted = [g.ue_id for g in reference.rb(rb)]
             if granted:
                 # One antenna: each greedy step's weights all tie, so the
                 # scan keeps the first (lowest-id) candidate it accepted.
@@ -168,10 +164,15 @@ def test_exact_tie_breaks_toward_lowest_id():
                 )
 
 
-def test_kernel_is_available_on_this_platform():
-    """The CI image ships a C compiler, so the kernel path must actually be
-    exercised by the properties above (the pure fallback keeps this from
-    being a hard runtime requirement elsewhere)."""
-    if os.environ.get("REPRO_DISABLE_KERNEL"):
-        return
-    assert kernel_available()
+@given(scenario_params(), st.floats(min_value=0.0, max_value=8.0))
+@settings(max_examples=50, deadline=None)
+def test_rate_bps_matches_scalar_formula(params, link_margin_db):
+    """``rate_bps(ue, rb, s)`` is ``rate_scale * rb_rate_bps(sinr + penalty
+    - margin)`` bit for bit, for every client, RB and stream count."""
+    context = make_context(params, link_margin_db=link_margin_db)
+    for streams in range(1, params["num_antennas"] + 1):
+        for ue in range(params["num_ues"]):
+            for rb in range(params["num_rbs"]):
+                expected = scalar_rate_bps(context, ue, rb, streams)
+                actual = context.rate_bps(ue, rb, streams)
+                assert actual.hex() == expected.hex()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ResilienceError, WorkerFailure
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.telemetry import TelemetryLog, read_telemetry
 from repro.resilience import FailedItem, SupervisorConfig, supervised_map
 
 
@@ -16,6 +17,11 @@ def double(x):
 def fail_below(x):
     if x < 0:
         raise ValueError(f"negative: {x}")
+    return x
+
+
+def nap(x):
+    time.sleep(0.3)
     return x
 
 
@@ -181,6 +187,24 @@ class TestParallel:
         assert failed.timed_out
         assert failed.error_type == "ResilienceError"
         assert outcome.results[1] == 12
+
+    def test_queued_items_do_not_time_out(self, tmp_path):
+        # Six 0.3 s items on two workers take ~0.9 s end to end; each
+        # attempt's 0.8 s deadline and its item clock must start when a
+        # worker takes it, not when the item is queued.
+        log = TelemetryLog.in_dir(tmp_path)
+        outcome = supervised_map(
+            nap,
+            list(range(6)),
+            n_jobs=2,
+            config=SupervisorConfig(timeout_s=0.8),
+            telemetry=log,
+        )
+        assert outcome.results == list(range(6))
+        assert outcome.timeouts == 0 and outcome.ok
+        done = [e for e in read_telemetry(log) if e["type"] == "item-done"]
+        assert len(done) == 6
+        assert all(event["elapsed_s"] < 0.8 for event in done)
 
     def test_fail_fast_in_pool(self):
         def always_crash(index, attempt):

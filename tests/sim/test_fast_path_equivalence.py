@@ -1,10 +1,10 @@
-"""Seeded regression tests: the vectorized fast path and the parallel
-runner must be bit-exact with the scalar/serial reference.
+"""Seeded regression tests: engine configurations reproduce the golden
+corpus, and the parallel runner is bit-exact with serial execution.
 
-The engine keeps two substrates (``fast_path=True``/``False``) whose RNG
-stream consumption is identical by construction; these tests pin that
-contract for SISO, MU-MIMO, both activity kinds, the SIC receiver, and a
-custom silencer.  The runner tests pin that ``n_jobs > 1`` returns results
+The engine tests run the golden corpus's ``engine/...`` cases (SISO,
+MU-MIMO, Markov activity, the SIC receiver, a custom silencer, and the
+oracle's per-subframe rescheduling) and require the committed outputs
+exactly.  The runner tests pin that ``n_jobs > 1`` returns results
 identical to serial execution.
 """
 
@@ -20,81 +20,44 @@ from repro.obs import PhaseTimer, Stopwatch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import CellSimulation
 from repro.sim.runner import run_comparison, run_replications, run_sweep
-from repro.topology.scenarios import skewed_topology, uniform_snrs
+from repro.topology.scenarios import uniform_snrs
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
+from tests.golden.cases import CASES, golden_dump
+from tests.golden.test_golden_corpus import load_corpus
 
 
-def run_pair(topology, snrs, config, seed=11, scheduler=ProportionalFairScheduler,
-             **kwargs):
-    """Run the same seeded scenario on both substrates."""
-    results = []
-    for fast in (True, False):
-        simulation = CellSimulation(
-            topology=topology,
-            mean_snr_db=snrs,
-            scheduler=scheduler(),
-            config=config,
-            seed=seed,
-            fast_path=fast,
-            **kwargs,
-        )
-        results.append(simulation.run())
-    return results
+@pytest.fixture(scope="module")
+def corpus():
+    return load_corpus()
+
+
+def run_golden(corpus, key):
+    """Run one corpus case; require its committed output exactly."""
+    result = CASES[key]().run()
+    assert golden_dump(result) == corpus[key]
+    return result
 
 
 class TestFastPathEquivalence:
-    def test_siso_bit_exact(self):
-        topology = make_testbed_topology(8, hts_per_ue=3, seed=5)
-        snrs = uniform_snrs(topology.num_ues, seed=7)
-        config = SimulationConfig(num_subframes=800, num_rbs=12, num_antennas=1)
-        fast, legacy = run_pair(topology, snrs, config)
-        assert fast == legacy
-        assert fast.grants_issued > 0 and fast.grants_blocked > 0
+    def test_siso_bit_exact(self, corpus):
+        result = run_golden(corpus, "engine/siso")
+        assert result.grants_issued > 0 and result.grants_blocked > 0
 
-    def test_mumimo_bit_exact(self):
-        topology = skewed_topology(12, 5, seed=3)
-        snrs = uniform_snrs(topology.num_ues, seed=9)
-        config = SimulationConfig(num_subframes=800, num_rbs=10, num_antennas=4)
-        fast, legacy = run_pair(topology, snrs, config)
-        assert fast == legacy
-        assert fast.grants_decoded > 0
+    def test_mumimo_bit_exact(self, corpus):
+        result = run_golden(corpus, "engine/mumimo")
+        assert result.grants_decoded > 0
 
-    def test_markov_activity_bit_exact(self):
-        topology = make_testbed_topology(6, hts_per_ue=2, seed=1)
-        snrs = uniform_snrs(topology.num_ues, seed=2)
-        config = SimulationConfig(
-            num_subframes=700, num_rbs=8, num_antennas=2, activity_kind="markov"
-        )
-        fast, legacy = run_pair(topology, snrs, config)
-        assert fast == legacy
+    def test_markov_activity_bit_exact(self, corpus):
+        run_golden(corpus, "engine/markov")
 
-    def test_sic_receiver_bit_exact(self):
-        topology = make_testbed_topology(6, hts_per_ue=2, seed=4)
-        snrs = uniform_snrs(topology.num_ues, seed=4)
-        config = SimulationConfig(
-            num_subframes=500, num_rbs=8, num_antennas=2, receiver="sic"
-        )
-        fast, legacy = run_pair(topology, snrs, config)
-        assert fast == legacy
+    def test_sic_receiver_bit_exact(self, corpus):
+        run_golden(corpus, "engine/sic")
 
-    def test_silencer_bit_exact(self):
-        topology = make_testbed_topology(6, hts_per_ue=2, seed=6)
-        snrs = uniform_snrs(topology.num_ues, seed=6)
-        config = SimulationConfig(num_subframes=500, num_rbs=8)
+    def test_silencer_bit_exact(self, corpus):
+        run_golden(corpus, "engine/silencer")
 
-        def silencer(active):
-            # Any active terminal silences its UE id modulo the cell size.
-            return {k % topology.num_ues for k in active}
-
-        fast, legacy = run_pair(topology, snrs, config, silencer=silencer)
-        assert fast == legacy
-
-    def test_reschedule_every_subframe_bit_exact(self):
-        topology = make_testbed_topology(6, hts_per_ue=2, seed=8)
-        snrs = uniform_snrs(topology.num_ues, seed=8)
-        config = SimulationConfig(num_subframes=500, num_rbs=8, num_antennas=2)
-        fast, legacy = run_pair(topology, snrs, config, scheduler=OracleScheduler)
-        assert fast == legacy
+    def test_reschedule_every_subframe_bit_exact(self, corpus):
+        run_golden(corpus, "engine/oracle-every-subframe")
 
     def test_channel_bank_matches_scalar_channels(self):
         parent_a = np.random.default_rng(99)

@@ -1,115 +1,46 @@
-"""The stage-pipeline engine must reproduce pre-refactor results exactly.
+"""The stage-pipeline engine must reproduce its golden outputs exactly.
 
-``tests/sim/data/engine_snapshots.json`` was generated by the monolithic
-pre-pipeline ``CellSimulation`` (one seeded run per engine path × scenario:
-static, churn timeline, MU-MIMO + HARQ + Markov activity).  These tests
-re-run the identical scenarios through the staged pipeline and compare the
-full ``to_dict()`` dump — counters and per-UE delivered bits — field for
-field.  Any drift in stage order, RNG stream consumption, or accounting
-shows up here as a hard failure.
+The golden corpus's ``snapshot/...`` cases (static, churn timeline,
+MU-MIMO + HARQ + Markov activity) carry the outputs first recorded from
+the monolithic pre-pipeline ``CellSimulation``.  These tests re-run the
+scenarios through the staged pipeline — plain, with hooks, with a phase
+timer, with an injected extra stage — and compare the full ``to_dict()``
+dump, counters and per-UE delivered bits, field for field.  Any drift in
+stage order, RNG stream consumption, or accounting shows up here as a
+hard failure.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.core.scheduling.pf import ProportionalFairScheduler
-from repro.dynamics.timeline import (
-    DutyCycleDrift,
-    EnvironmentTimeline,
-    HiddenNodeArrival,
-    HiddenNodeDeparture,
-)
 from repro.obs import PhaseTimer
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import CellSimulation
 from repro.sim.stages import (
-    PhaseTimerHooks,
     SimHooks,
-    SubframeContext,
+    SubframePipeline,
     SubframeStage,
     build_subframe_pipeline,
 )
-from repro.topology.scenarios import skewed_topology, uniform_snrs
-from repro.topology.scenarios import testbed_topology as make_testbed_topology
-
-SNAPSHOT_PATH = Path(__file__).parent / "data" / "engine_snapshots.json"
+from tests.golden.cases import CASES
+from tests.golden.test_golden_corpus import load_corpus
 
 
-def churn_timeline():
-    return EnvironmentTimeline(
-        [
-            HiddenNodeArrival(at=150, q=0.5, ues=(0, 1), label="snap-late"),
-            DutyCycleDrift(at=300, label="ht0", q=0.7),
-            HiddenNodeDeparture(at=450, label="snap-late"),
-        ]
-    )
-
-
-def snapshot_cases():
-    static_topo = make_testbed_topology(6, hts_per_ue=2, seed=5)
-    static_snrs = uniform_snrs(6, seed=7)
-    static_config = SimulationConfig(
-        num_subframes=600, num_rbs=8, num_antennas=2
-    )
-    yield "static", static_topo, static_snrs, static_config, None
-    yield "churn", static_topo, static_snrs, static_config, churn_timeline()
-    yield (
-        "mumimo-harq",
-        skewed_topology(8, 4, seed=3),
-        uniform_snrs(8, seed=9),
-        SimulationConfig(
-            num_subframes=500,
-            num_rbs=10,
-            num_antennas=4,
-            harq_enabled=True,
-            activity_kind="markov",
-        ),
-        None,
-    )
-
-
-def run_case(name, fast, hooks=None, phase_timer=None):
-    for case, topology, snrs, config, timeline_builder in snapshot_cases():
-        if case != name:
-            continue
-        timeline = timeline_builder
-        return CellSimulation(
-            topology=topology,
-            mean_snr_db=snrs,
-            scheduler=ProportionalFairScheduler(),
-            config=config,
-            seed=11,
-            fast_path=fast,
-            timeline=timeline,
-            hooks=hooks,
-            phase_timer=phase_timer,
-        ).run()
-    raise KeyError(name)
+def run_case(name, **engine_kwargs):
+    return CASES[f"snapshot/{name}"](**engine_kwargs).run()
 
 
 @pytest.fixture(scope="module")
 def snapshots():
-    with SNAPSHOT_PATH.open() as fh:
-        return json.load(fh)
+    corpus = load_corpus()
+    return {
+        key.split("/", 1)[1]: value
+        for key, value in corpus.items()
+        if key.startswith("snapshot/")
+    }
 
 
 class TestPreRefactorSnapshots:
-    @pytest.mark.parametrize(
-        "case", ["static", "churn", "mumimo-harq"]
-    )
-    @pytest.mark.parametrize("path", ["fast", "legacy"])
-    def test_pipeline_reproduces_snapshot(self, snapshots, case, path):
-        result = run_case(case, fast=(path == "fast"))
-        expected = snapshots[f"{case}:{path}"]
-        assert result.to_dict() == expected
-
-    def test_fast_and_legacy_snapshots_agree(self, snapshots):
-        # The snapshots themselves were bit-exact across paths; keep the
-        # committed file honest.
-        for case in ("static", "churn", "mumimo-harq"):
-            assert snapshots[f"{case}:fast"] == snapshots[f"{case}:legacy"]
+    @pytest.mark.parametrize("case", ["static", "churn", "mumimo-harq"])
+    def test_pipeline_reproduces_snapshot(self, snapshots, case):
+        assert run_case(case).to_dict() == snapshots[case]
 
 
 class TestHooksNeutrality:
@@ -126,15 +57,15 @@ class TestHooksNeutrality:
             def on_subframe_end(self, ctx):
                 calls["subframe"] += 1
 
-        result = run_case("static", fast=True, hooks=Counting())
-        assert result.to_dict() == snapshots["static:fast"]
+        result = run_case("static", hooks=Counting())
+        assert result.to_dict() == snapshots["static"]
         assert calls["start"] == calls["end"] > 0
         assert calls["subframe"] == 600
 
     def test_phase_timer_rides_the_hook_seam(self, snapshots):
         timer = PhaseTimer()
-        result = run_case("static", fast=True, phase_timer=timer)
-        assert result.to_dict() == snapshots["static:fast"]
+        result = run_case("static", phase_timer=timer)
+        assert result.to_dict() == snapshots["static"]
         for phase in ("activity", "channels", "schedule", "receive"):
             assert timer.count(phase) > 0
 
@@ -146,30 +77,27 @@ class TestHooksNeutrality:
             def on_stage_end(self, stage, ctx):
                 seen.append(stage.name)
 
-        result = run_case(
-            "static", fast=True, hooks=Names(), phase_timer=timer
-        )
-        assert result.to_dict() == snapshots["static:fast"]
+        result = run_case("static", hooks=Names(), phase_timer=timer)
+        assert result.to_dict() == snapshots["static"]
         assert "interference" in seen and "transmit-decode" in seen
         assert timer.count("channels") > 0
 
 
 class TestPipelineShape:
     def test_stage_order_is_canonical(self):
-        for fast in (True, False):
-            pipeline = build_subframe_pipeline(fast)
-            assert pipeline.stage_names() == (
-                "timeline",
-                "interference",
-                "channels",
-                "arrivals",
-                "schedule",
-                "transmit-decode",
-                "harq-feedback",
-            )
+        pipeline = build_subframe_pipeline()
+        assert pipeline.stage_names() == (
+            "timeline",
+            "interference",
+            "channels",
+            "arrivals",
+            "schedule",
+            "transmit-decode",
+            "harq-feedback",
+        )
 
     def test_ul_only_stages_skip_idle_and_dl(self):
-        pipeline = build_subframe_pipeline(True)
+        pipeline = build_subframe_pipeline()
         ul_only = {"schedule", "transmit-decode", "harq-feedback"}
         for kind in ("idle", "dl"):
             names = {s.name for s in pipeline._by_kind[kind]}
@@ -188,20 +116,8 @@ class TestPipelineShape:
             def run(self, sim, ctx):
                 seen.append((ctx.kind, ctx.subframe))
 
-        base = build_subframe_pipeline(True)
-        from repro.sim.stages import SubframePipeline
-
+        base = build_subframe_pipeline()
         pipeline = SubframePipeline(list(base.stages) + [Probe()])
-        for case, topology, snrs, config, timeline in snapshot_cases():
-            if case != "static":
-                continue
-            result = CellSimulation(
-                topology=topology,
-                mean_snr_db=snrs,
-                scheduler=ProportionalFairScheduler(),
-                config=config,
-                seed=11,
-                pipeline=pipeline,
-            ).run()
-        assert result.to_dict() == snapshots["static:fast"]
+        result = run_case("static", pipeline=pipeline)
+        assert result.to_dict() == snapshots["static"]
         assert len(seen) == 600
