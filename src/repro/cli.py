@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the experiment spec as JSON to PATH",
     )
     compare.add_argument(
-        "--n-jobs", type=int, default=1,
+        "--n-jobs", type=_n_jobs, default=1,
         help="worker processes for the comparison (-1 = all cores)",
     )
     _add_obs_args(compare)
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--subframes", type=int, default=2000)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--with-oracle", action="store_true")
-    sweep.add_argument("--n-jobs", type=int, default=1)
+    sweep.add_argument("--n-jobs", type=_n_jobs, default=1)
 
     dynamics = sub.add_parser(
         "dynamics", help="online adaptation demo under hidden-node churn"
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run-spec", help="execute an experiment spec JSON file"
     )
     run_spec.add_argument("spec", help="path to an ExperimentSpec .json")
-    run_spec.add_argument("--n-jobs", type=int, default=1)
+    run_spec.add_argument("--n-jobs", type=_n_jobs, default=1)
     run_spec.add_argument(
         "--baseline",
         default=None,
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     deploy.add_argument("spec", help="path to a DeploymentSpec .json")
     deploy.add_argument(
-        "--n-jobs", type=int, default=1,
+        "--n-jobs", type=_n_jobs, default=1,
         help="worker processes for cluster shards (-1 = all cores)",
     )
     deploy.add_argument(
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "checkpoint_dir", help="directory written by a --checkpoint-dir run"
     )
-    resume.add_argument("--n-jobs", type=int, default=1)
+    resume.add_argument("--n-jobs", type=_n_jobs, default=1)
     _add_resilience_args(resume)
     _add_obs_args(resume)
     _add_telemetry_arg(resume)
@@ -363,6 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("trace-info", help="summarize a recorded trace")
     info.add_argument("path", help="trace file written by the trace command")
     return parser
+
+
+def _n_jobs(text: str) -> int:
+    """``--n-jobs`` value: ``-1`` (all cores) or a positive worker count."""
+    from repro.errors import ConfigurationError
+    from repro.resilience.supervisor import resolve_jobs
+
+    try:
+        value = int(text)
+        resolve_jobs(value)
+    except (ValueError, ConfigurationError):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive worker count or -1 (all cores): {text!r}"
+        ) from None
+    return value
 
 
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:

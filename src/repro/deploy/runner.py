@@ -38,6 +38,7 @@ from repro.obs.metrics import MetricsSnapshot
 from repro.obs.report import collect_snapshot
 from repro.resilience.checkpoint import CheckpointStore, QuarantinedCell
 from repro.resilience.inject import FaultInjector
+from repro.resilience.ledger import RunLedger
 from repro.resilience.supervisor import (
     FailedItem,
     SupervisorConfig,
@@ -165,13 +166,7 @@ def _run_cell(deployment: Deployment, cell_id: int) -> SimulationResult:
         record_series=spec.record_series,
         hooks=session.hooks if session is not None else None,
     )
-    if session is None:
-        return simulation.run()
-    with session.activate():
-        result = simulation.run()
-    session.finish()
-    session.attach(result)
-    return result
+    return simulation.run() if session is None else session.run(simulation)
 
 
 #: Per-process deployment cache: building a 100-cell deployment is cheap
@@ -224,8 +219,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a deployment campaign, sharded by interference cluster.
 
-    ``n_jobs`` fans cluster work items over a process pool (``None`` =
-    all cores); results are bit-identical for any value.
+    ``n_jobs`` fans cluster work items over a process pool (``None`` or
+    ``1`` = serial, ``-1`` = all cores); results are bit-identical for
+    any value.
     ``checkpoint_dir`` persists one atomic file per completed cluster
     plus a manifest, so a killed campaign resumes via
     :func:`resume_campaign` (or ``repro resume``) computing only the
@@ -241,107 +237,64 @@ def run_campaign(
         deployment.coupling_db, spec.coupling_margin_db, deployment.clusters
     )
     spec_dict = spec.to_dict()
-    num_clusters = deployment.num_clusters
+    clusters = [list(cluster) for cluster in deployment.clusters]
+    ledger = RunLedger(
+        {
+            "kind": DEPLOY_CHECKPOINT_KIND,
+            "spec": spec_dict,
+            "clusters": clusters,
+        },
+        clusters,
+        [f"cluster-{index}" for index in range(len(clusters))],
+        CheckpointStore.load_payload_or_quarantine,
+        CheckpointStore.save_payload,
+        checkpoint_dir=checkpoint_dir,
+        telemetry_dir=telemetry_dir,
+        campaign=spec.name,
+        started={"clusters": len(clusters), "cells": deployment.num_cells},
+    )
 
-    cluster_states: List[Optional[List[Dict[str, Any]]]] = [None] * num_clusters
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.initialize(
-            {
-                "kind": DEPLOY_CHECKPOINT_KIND,
-                "spec": spec_dict,
-                "clusters": [list(cluster) for cluster in deployment.clusters],
-            }
-        )
-        for index in sorted(store.completed()):
-            if index < num_clusters:
-                # Corrupt/torn cells are quarantined (returned as None)
-                # and land back in ``pending`` for recomputation.
-                payload = store.load_payload_or_quarantine(index)
-                if payload is not None:
-                    cluster_states[index] = payload
-    pending = [i for i in range(num_clusters) if cluster_states[i] is None]
+    worker_fault = None
+    if spec.faults is not None and spec.faults.has_worker_faults:
+        def worker_fault(pos: int, attempt: int):
+            cluster_index = ledger.pending[pos]
+            injector = FaultInjector(
+                spec.faults,
+                seed=_cluster_fault_seed(deployment, cluster_index),
+            )
+            return injector.worker_fault(cluster_index, attempt)
 
-    telemetry = None
-    if telemetry_dir is not None:
-        from repro.obs.telemetry import TelemetryLog
+    def on_result(pos: int, states: List[Dict[str, Any]]) -> None:
+        ledger.on_result(pos, states)
+        if ledger.telemetry is not None:
+            index = ledger.pending[pos]
+            ledger.telemetry.emit(
+                "cluster-done",
+                item=ledger.labels[index],
+                cells=len(clusters[index]),
+            )
 
-        telemetry = TelemetryLog.in_dir(telemetry_dir)
-        telemetry.emit(
-            "campaign-started",
-            campaign=spec.name,
-            kind=DEPLOY_CHECKPOINT_KIND,
-            clusters=num_clusters,
-            cells=deployment.num_cells,
-            labels=[f"cluster-{i}" for i in range(num_clusters)],
-            completed=[
-                f"cluster-{i}"
-                for i in range(num_clusters)
-                if cluster_states[i] is not None
-            ] or None,
-        )
-        if store is not None:
-            for cell in store.quarantined:
-                telemetry.emit(
-                    "degraded", item=f"cluster-{cell.index}", note=cell.note()
-                )
-
-    failed: Dict[int, FailedItem] = {}
-    if pending:
-        items: List[_ClusterItem] = [(spec_dict, index) for index in pending]
-
-        worker_fault = None
-        if spec.faults is not None and spec.faults.has_worker_faults:
-            def worker_fault(pos: int, attempt: int):
-                cluster_index = pending[pos]
-                injector = FaultInjector(
-                    spec.faults,
-                    seed=_cluster_fault_seed(deployment, cluster_index),
-                )
-                return injector.worker_fault(cluster_index, attempt)
-
-        def on_result(pos: int, states: List[Dict[str, Any]]) -> None:
-            index = pending[pos]
-            if store is not None:
-                store.save_payload(
-                    index, list(deployment.clusters[index]), states
-                )
-            if telemetry is not None:
-                telemetry.emit(
-                    "cluster-done",
-                    item=f"cluster-{index}",
-                    cells=len(deployment.clusters[index]),
-                )
-
-        outcome = supervised_map(
-            _run_cluster_item,
-            items,
-            n_jobs=n_jobs,
-            config=supervisor,
-            worker_fault=worker_fault,
-            on_result=on_result if (store or telemetry) else None,
-            fail_fast=supervisor is None,
-            telemetry=telemetry,
-            labels=[f"cluster-{i}" for i in pending],
-        )
-        for pos, states in enumerate(outcome.results):
-            index = pending[pos]
-            if isinstance(states, FailedItem):
-                failed[index] = states
-            else:
-                cluster_states[index] = states
-
-    if telemetry is not None:
-        telemetry.emit(
-            "campaign-done",
-            campaign=spec.name,
-            failed=sorted(failed) or None,
-        )
+    outcome = supervised_map(
+        _run_cluster_item,
+        [(spec_dict, index) for index in ledger.pending],
+        n_jobs=n_jobs,
+        config=supervisor,
+        worker_fault=worker_fault,
+        on_result=on_result,
+        fail_fast=supervisor is None,
+        telemetry=ledger.telemetry,
+        labels=ledger.pending_labels,
+    )
+    cluster_states = ledger.finish(outcome)
+    failed = {
+        index: states
+        for index, states in enumerate(cluster_states)
+        if isinstance(states, FailedItem)
+    }
 
     cell_results: Dict[int, SimulationResult] = {}
     for index, states in enumerate(cluster_states):
-        if states is None:
+        if index in failed:
             continue
         cluster = deployment.clusters[index]
         if len(states) != len(cluster):
@@ -357,7 +310,7 @@ def run_campaign(
         deployment=deployment,
         cell_results=cell_results,
         failed_clusters=failed,
-        quarantined_cells=list(store.quarantined) if store is not None else [],
+        quarantined_cells=ledger.quarantined,
     )
 
 

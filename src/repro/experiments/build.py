@@ -16,9 +16,7 @@ the run — e.g. ``AdaptiveBLUController.metrics`` for the dynamics report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.scheduling.base import UplinkScheduler
 from repro.core.scheduling.channels import build_channel_assigner
@@ -33,14 +31,16 @@ from repro.experiments.registry import (
 from repro.experiments.spec import ExperimentSpec
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.inject import FaultInjector
+from repro.resilience.ledger import RunLedger
 from repro.resilience.supervisor import (
     FailedItem,
     SupervisorConfig,
+    resolve_jobs,
     supervised_map,
 )
 from repro.sim.engine import CellSimulation
 from repro.sim.results import SimulationResult
-from repro.sim.runner import ReplicatedMetric, SweepPoint, map_jobs
+from repro.sim.runner import ReplicatedMetric, SweepPoint, replicate_metrics
 from repro.topology.graph import InterferenceTopology
 from repro.topology.multichannel import MultiChannelTopology
 
@@ -161,7 +161,7 @@ class ExperimentPlan:
             ).run()
         # Observability on: a fresh per-run session provides the hooks and
         # the active registry; its snapshot (and trace) ride on the result,
-        # so worker processes ship telemetry back through map_jobs.
+        # so worker processes ship telemetry back with it.
         from repro.obs.session import ObsSession
         from repro.sim.stages import CompositeHooks
 
@@ -179,23 +179,25 @@ class ExperimentPlan:
                 [hooks] if hooks is not None else []
             )
             hooks = CompositeHooks(children)
-        simulation = self.simulation(
-            name, seed=seed, scheduler=scheduler, hooks=hooks
+        return session.run(
+            self.simulation(name, seed=seed, scheduler=scheduler, hooks=hooks)
         )
-        with session.activate():
-            result = simulation.run()
-        session.finish()
-        session.attach(result)
-        return result
 
     def run(self, n_jobs: Optional[int] = 1) -> Dict[str, SimulationResult]:
-        """Run every scheduler under identical seeded conditions."""
+        """Run every scheduler under identical seeded conditions.
+
+        A serial run (one job or one scheduler) captures the scheduler
+        instances on :attr:`schedulers`; a parallel run rebuilds the plan
+        in each worker and captures nothing.
+        """
         names = list(self.spec.scheduler_names)
-        if n_jobs is not None and n_jobs != 1 and len(names) > 1:
-            items = [(self.spec.to_dict(), name, None) for name in names]
-            results = map_jobs(_run_spec_item, items, n_jobs)
-            return dict(zip(names, results))
-        return {name: self.run_one(name) for name in names}
+        if resolve_jobs(n_jobs) == 1 or len(names) == 1:
+            return {name: self.run_one(name) for name in names}
+        items = [(self.spec.to_dict(), name, None) for name in names]
+        outcome = supervised_map(
+            _run_spec_item, items, n_jobs=n_jobs, fail_fast=True
+        )
+        return dict(zip(names, outcome.results))
 
 
 def build_experiment(spec: ExperimentSpec) -> ExperimentPlan:
@@ -256,59 +258,6 @@ def run_experiment(
     return build_experiment(spec).run(n_jobs=n_jobs)
 
 
-def _execute_cells(
-    items: List[_SpecItem],
-    pending: List[int],
-    results: List[object],
-    labelled: Sequence[Tuple[object, object]],
-    store: Optional[CheckpointStore],
-    supervisor: Optional[SupervisorConfig],
-    n_jobs: Optional[int],
-    worker_fault,
-    telemetry=None,
-    cell_labels: Optional[Sequence[str]] = None,
-) -> None:
-    """Run the pending cells, saving each into ``store`` as it completes.
-
-    ``items[pos]`` corresponds to original cell index ``pending[pos]``;
-    worker-fault lookups and checkpoint filenames use the *original*
-    index so fault plans and cell files are stable across resumes.
-    ``telemetry``/``cell_labels`` stream item lifecycle events into a
-    :class:`~repro.obs.telemetry.TelemetryLog` (labels aligned with
-    ``pending``).
-    """
-    if (store is None and supervisor is None and worker_fault is None
-            and telemetry is None):
-        for pos, result in enumerate(map_jobs(_run_spec_item, items, n_jobs)):
-            results[pending[pos]] = result
-        return
-
-    on_result = None
-    if store is not None:
-        def on_result(pos: int, result) -> None:
-            index = pending[pos]
-            store.save_cell(index, list(labelled[index]), result)
-
-    shifted_fault = None
-    if worker_fault is not None:
-        def shifted_fault(pos: int, attempt: int):
-            return worker_fault(pending[pos], attempt)
-
-    outcome = supervised_map(
-        _run_spec_item,
-        items,
-        n_jobs=n_jobs,
-        config=supervisor,
-        worker_fault=shifted_fault,
-        on_result=on_result,
-        fail_fast=supervisor is None,
-        telemetry=telemetry,
-        labels=cell_labels,
-    )
-    for pos, result in enumerate(outcome.results):
-        results[pending[pos]] = result
-
-
 def _cell_label(name: object, seed: object) -> str:
     """The stable telemetry item label for one (scheduler, seed) cell."""
     return f"{name}@{seed if seed is not None else 'spec'}"
@@ -340,68 +289,45 @@ def run_experiment_grid(
     """
     if not seeds:
         raise SpecError("need at least one seed")
-    names = list(spec.scheduler_names)
     spec_dict = spec.to_dict()
-    labelled = [(name, seed) for seed in seeds for name in names]
-    results: List[object] = [None] * len(labelled)
-    pending = list(range(len(labelled)))
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.initialize(
-            {
-                "kind": "grid",
-                "spec": spec_dict,
-                "seeds": list(seeds),
-                "cells": [[name, seed] for name, seed in labelled],
-            }
-        )
-        for index in sorted(store.completed()):
-            if index < len(labelled):
-                # Corrupt cells quarantine to None and rejoin ``pending``.
-                results[index] = store.load_cell_or_quarantine(index)
-        pending = [i for i in range(len(labelled)) if results[i] is None]
+    cells = [(name, seed) for seed in seeds for name in spec.scheduler_names]
+    ledger = RunLedger(
+        {
+            "kind": "grid",
+            "spec": spec_dict,
+            "seeds": list(seeds),
+            "cells": [[name, seed] for name, seed in cells],
+        },
+        cells,
+        [_cell_label(name, seed) for name, seed in cells],
+        CheckpointStore.load_cell_or_quarantine,
+        CheckpointStore.save_cell,
+        checkpoint_dir=checkpoint_dir,
+        telemetry_dir=telemetry_dir,
+        campaign=spec.name,
+    )
     worker_fault = None
     if spec.faults is not None and spec.faults.has_worker_faults:
-        worker_fault = FaultInjector(spec.faults, seed=spec.seed).worker_fault
-    telemetry = None
-    if telemetry_dir is not None:
-        from repro.obs.telemetry import TelemetryLog
+        injector = FaultInjector(spec.faults, seed=spec.seed)
 
-        telemetry = TelemetryLog.in_dir(telemetry_dir)
-        telemetry.emit(
-            "campaign-started",
-            campaign=spec.name,
-            kind="grid",
-            labels=[_cell_label(name, seed) for name, seed in labelled],
-            completed=[
-                _cell_label(*labelled[i])
-                for i in range(len(labelled))
-                if i not in pending
-            ] or None,
-        )
-        if store is not None:
-            for cell in store.quarantined:
-                telemetry.emit(
-                    "degraded",
-                    item=_cell_label(*labelled[cell.index]),
-                    note=cell.note(),
-                )
-    items: List[_SpecItem] = [
-        (spec_dict, *labelled[index]) for index in pending
-    ]
-    if items:
-        _execute_cells(
-            items, pending, results, labelled, store, supervisor, n_jobs,
-            worker_fault, telemetry=telemetry,
-            cell_labels=[_cell_label(*labelled[i]) for i in pending],
-        )
-    if telemetry is not None:
-        telemetry.emit("campaign-done", campaign=spec.name)
-    return [
-        (name, seed, results[index])
-        for index, (name, seed) in enumerate(labelled)
-    ]
+        def worker_fault(pos: int, attempt: int):
+            # Fault plans key on the original cell index, so they are
+            # stable across resumes.
+            return injector.worker_fault(ledger.pending[pos], attempt)
+
+    outcome = supervised_map(
+        _run_spec_item,
+        [(spec_dict, *cells[index]) for index in ledger.pending],
+        n_jobs=n_jobs,
+        config=supervisor,
+        worker_fault=worker_fault,
+        on_result=ledger.on_result,
+        fail_fast=supervisor is None,
+        telemetry=ledger.telemetry,
+        labels=ledger.pending_labels,
+    )
+    results = ledger.finish(outcome)
+    return [(name, seed, result) for (name, seed), result in zip(cells, results)]
 
 
 def run_experiment_replications(
@@ -417,37 +343,11 @@ def run_experiment_replications(
     With a ``supervisor``, cells quarantined as failed are excluded from
     the aggregates (their seeds simply contribute no sample).
     """
-    names = list(spec.scheduler_names)
     grid = run_experiment_grid(
         spec, seeds, n_jobs=n_jobs, checkpoint_dir=checkpoint_dir,
         supervisor=supervisor,
     )
-
-    samples: Dict[str, Dict[str, List[float]]] = {
-        name: {metric: [] for metric in metrics} for name in names
-    }
-    for name, _seed, result in grid:
-        if result is None or isinstance(result, FailedItem):
-            continue
-        summary = result.summary()
-        for metric in metrics:
-            samples[name][metric].append(summary[metric])
-    report: Dict[str, Dict[str, ReplicatedMetric]] = {}
-    for name, by_metric in samples.items():
-        report[name] = {}
-        for metric, values in by_metric.items():
-            if not values:
-                report[name][metric] = ReplicatedMetric(
-                    mean=float("nan"), std=0.0, samples=0
-                )
-                continue
-            array = np.asarray(values, dtype=float)
-            report[name][metric] = ReplicatedMetric(
-                mean=float(array.mean()),
-                std=float(array.std(ddof=1)) if len(array) > 1 else 0.0,
-                samples=len(array),
-            )
-    return report
+    return replicate_metrics(grid, spec.scheduler_names, metrics)
 
 
 def run_experiment_sweep(
@@ -477,77 +377,46 @@ def run_experiment_sweep(
         raise SpecError(
             f"{len(parameters)} parameters for {len(specs)} specs"
         )
-    labelled: List[Tuple[int, str]] = []
-    items_all: List[_SpecItem] = []
+    cells = [
+        (index, name)
+        for index, spec in enumerate(specs)
+        for name in spec.scheduler_names
+    ]
+    spec_dicts = [spec.to_dict() for spec in specs]
+    ledger = RunLedger(
+        {
+            "kind": "sweep",
+            "specs": spec_dicts,
+            "parameters": list(parameters),
+            "cells": [[index, name] for index, name in cells],
+        },
+        cells,
+        [f"{parameters[index]}/{name}" for index, name in cells],
+        CheckpointStore.load_cell_or_quarantine,
+        CheckpointStore.save_cell,
+        checkpoint_dir=checkpoint_dir,
+        telemetry_dir=telemetry_dir,
+        campaign=specs[0].name,
+    )
+    outcome = supervised_map(
+        _run_spec_item,
+        [
+            (spec_dicts[cells[i][0]], cells[i][1], None)
+            for i in ledger.pending
+        ],
+        n_jobs=n_jobs,
+        config=supervisor,
+        on_result=ledger.on_result,
+        fail_fast=supervisor is None,
+        telemetry=ledger.telemetry,
+        labels=ledger.pending_labels,
+    )
     points = [
         SweepPoint(parameter=parameter, results={}) for parameter in parameters
     ]
-    for index, spec in enumerate(specs):
-        spec_dict = spec.to_dict()
-        for name in spec.scheduler_names:
-            labelled.append((index, name))
-            items_all.append((spec_dict, name, None))
-    results: List[object] = [None] * len(labelled)
-    pending = list(range(len(labelled)))
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        try:
-            manifest = {
-                "kind": "sweep",
-                "specs": [spec.to_dict() for spec in specs],
-                "parameters": list(parameters),
-                "cells": [[index, name] for index, name in labelled],
-            }
-            store.initialize(manifest)
-        except (TypeError, ValueError) as error:
-            raise CheckpointError(
-                f"sweep parameters must be JSON-serializable to "
-                f"checkpoint: {error}"
-            ) from error
-        for index in sorted(store.completed()):
-            if index < len(labelled):
-                results[index] = store.load_cell_or_quarantine(index)
-        pending = [i for i in range(len(labelled)) if results[i] is None]
-    telemetry = None
-    sweep_labels = [
-        f"{parameters[index]}/{name}" for index, name in labelled
-    ]
-    if telemetry_dir is not None:
-        from repro.obs.telemetry import TelemetryLog
-
-        telemetry = TelemetryLog.in_dir(telemetry_dir)
-        telemetry.emit(
-            "campaign-started",
-            campaign=specs[0].name,
-            kind="sweep",
-            labels=sweep_labels,
-            completed=[
-                sweep_labels[i]
-                for i in range(len(labelled))
-                if i not in pending
-            ] or None,
-        )
-        if store is not None:
-            for cell in store.quarantined:
-                telemetry.emit(
-                    "degraded",
-                    item=sweep_labels[cell.index],
-                    note=cell.note(),
-                )
-    items = [items_all[index] for index in pending]
-    if items:
-        _execute_cells(
-            items, pending, results, labelled, store, supervisor, n_jobs,
-            worker_fault=None, telemetry=telemetry,
-            cell_labels=[sweep_labels[i] for i in pending],
-        )
-    if telemetry is not None:
-        telemetry.emit("campaign-done", campaign=specs[0].name)
-    for (index, name), result in zip(labelled, results):
-        if result is None or isinstance(result, FailedItem):
-            continue
-        points[index].results[name] = result
+    for (index, name), result in zip(cells, ledger.finish(outcome)):
+        if not isinstance(result, FailedItem):
+            points[index].results[name] = result
     return points
 
 

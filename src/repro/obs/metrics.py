@@ -16,8 +16,8 @@ engine's bit-exactness contract demands:
   the identical :class:`MetricsSnapshot` serially, in a worker process, or
   on a re-run.
 
-Snapshots are plain-data (JSON-ready, picklable) so worker processes can
-ship them back through ``map_jobs``; :func:`merge_snapshots` combines them
+Snapshots are plain-data (JSON-ready, picklable) so pool workers can ship
+them back to the parent; :func:`merge_snapshots` combines them
 (counters and histograms sum, gauges take the last write).
 """
 

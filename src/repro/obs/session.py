@@ -13,10 +13,7 @@ Usage::
 
     session = ObsSession(obs_config)
     sim = plan.simulation(name, hooks=session.hooks, ...)
-    with session.activate():      # instrumented library code sees the registry
-        result = sim.run()
-    session.finish()
-    session.attach(result)        # snapshot + trace + series ride on the result
+    result = session.run(sim)     # snapshot + trace + series ride on the result
 
 When the config enables streaming, the recorder joins the hooks stack
 *after* the metrics hooks (so the registry is current at every subframe
@@ -29,12 +26,11 @@ phase-transition progress into it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.config import ObsConfig
 from repro.obs.hooks import MetricsHooks, TracingHooks
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, use_registry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.stream import TimeSeriesRecorder
 from repro.obs.telemetry import active_telemetry
 from repro.obs.trace import EventTracer
@@ -93,33 +89,26 @@ class ObsSession:
                 ),
             )
 
-    @contextmanager
-    def activate(self) -> Iterator["ObsSession"]:
-        """Scope this session's registry as the process-local active one."""
-        with use_registry(self.registry):
-            yield self
+    def run(self, simulation):
+        """Run ``simulation`` (built with :attr:`hooks`) under this session.
 
-    def finish(self) -> None:
-        """Close trace spans and flush the recorder's final window."""
+        The session's registry is the process-local active one for the
+        run, so instrumented library code sees it.  Afterwards trace spans
+        close, the recorder flushes its final window, and the result is
+        stamped with the run's snapshot (trace, series).  All three fields
+        are ``compare=False`` on :class:`~repro.sim.results.SimulationResult`,
+        so telemetry never perturbs bit-exactness comparisons — and all
+        are plain data, so results pickle back from pool workers.
+        """
+        with use_registry(self.registry):
+            result = simulation.run()
         if self._tracing_hooks is not None:
             self._tracing_hooks.finish()
         if self.recorder is not None:
             self.recorder.finish()
-
-    def snapshot(self) -> MetricsSnapshot:
-        """The run's metrics, frozen into a mergeable plain-data snapshot."""
-        return self.registry.snapshot()
-
-    def attach(self, result) -> None:
-        """Stamp the result with this run's snapshot (trace, series).
-
-        All fields are ``compare=False`` on
-        :class:`~repro.sim.results.SimulationResult`, so telemetry never
-        perturbs bit-exactness comparisons — and all are plain data, so
-        results round-trip through ``map_jobs`` worker pickling.
-        """
-        result.obs_snapshot = self.snapshot().to_dict()
+        result.obs_snapshot = self.registry.snapshot().to_dict()
         if self.tracer is not None:
             result.obs_trace = self.tracer.events()
         if self.recorder is not None:
             result.obs_series = self.recorder.frame.to_dict()
+        return result

@@ -15,7 +15,8 @@ Four pillars (see ``docs/RESILIENCE.md``):
   sha256-digested result file per completed grid cell plus a versioned
   manifest; interrupted runs resume from exactly the missing cells
   (``repro resume``), and corrupt/torn cells are quarantined and
-  recomputed instead of crashing the resume.
+  recomputed instead of crashing the resume.  :class:`RunLedger` keeps
+  those books (and the run's telemetry narration) for every runner.
 * **Storage chaos** — :func:`run_chaos` adversarially exercises the
   checkpoint guarantees: seeded rounds of kill points × storage faults
   (torn writes, bit flips, fsync loss, ``ENOSPC``/``EIO``) injected at
@@ -49,6 +50,7 @@ from repro.resilience.faults import (
     WorkerHangFault,
 )
 from repro.resilience.inject import FaultHooks, FaultInjector
+from repro.resilience.ledger import RunLedger
 from repro.resilience.storage import (
     StorageInterceptor,
     atomic_write_json,
@@ -80,6 +82,7 @@ __all__ = [
     "QuarantinedCell",
     "ReportCorruptFault",
     "ReportLossFault",
+    "RunLedger",
     "SimulatedKill",
     "SolverDivergenceFault",
     "StorageChaos",

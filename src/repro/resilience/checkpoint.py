@@ -126,12 +126,19 @@ class CheckpointStore:
         """Create the directory + manifest, or validate an existing one.
 
         Raises :class:`CheckpointError` when the directory already holds
-        a manifest for a *different* run — checkpoints never mix.  The
-        comparison ignores the format ``version`` so version-1 stores
-        resume under version-2 code.
+        a manifest for a *different* run — checkpoints never mix — or
+        when the manifest is not JSON-serializable.  The comparison
+        ignores the format ``version`` so version-1 stores resume under
+        version-2 code.
         """
+        try:
+            payload = _normalize({"version": MANIFEST_VERSION, **manifest})
+        except (TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"the {manifest.get('kind')} manifest must be "
+                f"JSON-serializable to checkpoint: {error}"
+            ) from error
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = _normalize({"version": MANIFEST_VERSION, **manifest})
         path = self.manifest_path
         if path.exists():
             stored = self.load_manifest()

@@ -1,7 +1,8 @@
 """Supervised execution of independent work items.
 
-:func:`supervised_map` is the resilient core under
-:func:`repro.sim.runner.map_jobs`: it maps a function over self-contained
+:func:`supervised_map` is the one batch executor under every runner
+(:mod:`repro.sim.runner`, :mod:`repro.experiments.build`,
+:mod:`repro.deploy.runner`): it maps a function over self-contained
 work items — serially or over a ``ProcessPoolExecutor`` — while giving
 each item a configurable per-attempt timeout and bounded retries with
 exponential backoff + deterministic jitter.  Items that keep failing are
@@ -24,10 +25,9 @@ Semantics worth knowing:
 * In serial mode (``n_jobs=1``) there is no way to interrupt a running
   call, so ``timeout_s`` is not enforced; injected hangs simply delay
   the (identical) result.
-* With ``fail_fast=True`` (how :func:`~repro.sim.runner.map_jobs` runs
-  when no supervisor config is given) the first *permanent* failure
-  re-raises its original exception, preserving the historical strict
-  behaviour.
+* With ``fail_fast=True`` (how every runner calls it when no supervisor
+  config is given) the first *permanent* failure re-raises its original
+  exception, preserving the historical strict behaviour.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ResilienceError, WorkerFailure
+from repro.errors import ConfigurationError, ResilienceError, WorkerFailure
 from repro.obs.metrics import active_registry
 from repro.obs.telemetry import TelemetryLog, use_telemetry
 
@@ -51,6 +51,7 @@ __all__ = [
     "SupervisorConfig",
     "FailedItem",
     "SupervisedOutcome",
+    "resolve_jobs",
     "supervised_map",
 ]
 
@@ -148,13 +149,20 @@ class SupervisedOutcome:
         return not self.failures
 
 
-def _resolve_jobs(n_jobs: Optional[int]) -> int:
+def resolve_jobs(n_jobs: Optional[int]) -> int:
+    """The worker count an ``n_jobs`` argument asks for.
+
+    ``None`` and ``1`` mean serial, ``-1`` all cores, and any other value
+    below 1 raises :class:`~repro.errors.ConfigurationError`.  Every
+    ``n_jobs`` in the package (runners, campaigns, the CLI's
+    ``--n-jobs``) is checked here.
+    """
     if n_jobs is None:
         return 1
     if n_jobs == -1:
         return os.cpu_count() or 1
     if n_jobs < 1:
-        raise ResilienceError(f"n_jobs must be >= 1 or -1: {n_jobs}")
+        raise ConfigurationError(f"n_jobs must be >= 1 or -1: {n_jobs}")
     return int(n_jobs)
 
 
@@ -302,6 +310,7 @@ def supervised_map(
     reacts.  ``labels`` names items in those events (positionally
     aligned; defaults to the item index).
     """
+    jobs = resolve_jobs(n_jobs)
     config = SupervisorConfig() if config is None else config
     items = list(items)
     outcome = SupervisedOutcome(results=[None] * len(items))
@@ -316,7 +325,7 @@ def supervised_map(
         for i in range(len(items))
     ]
     counters = _Counters()
-    jobs = min(_resolve_jobs(n_jobs), len(items))
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         _serial_loop(fn, items, config, worker_fault, on_result, fail_fast,
                      outcome, counters, telemetry, names)

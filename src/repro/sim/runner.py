@@ -5,28 +5,31 @@ realization and the same fading sample paths.  The runner achieves this by
 re-seeding the simulation identically for each scheduler (activity, fading
 and eNB-CCA randomness all derive from the one seed).
 
-Every entry point accepts ``n_jobs``: each (scheduler, seed, sweep-point)
-run is an independent, fully seeded work item, so the runner can fan them
-out over a :class:`~concurrent.futures.ProcessPoolExecutor` without
-touching the matched-seed contract — a parallel run returns results
-identical to ``n_jobs=1``.  Work items that cannot be pickled (e.g. lambda
-scheduler factories) make the runner fall back to serial execution with a
-warning.
+These are thin live-object wrappers (topologies and scheduler factories
+instead of a spec) around the batch executor and aggregator the spec
+runners in :mod:`repro.experiments.build` use.  Every entry point accepts
+``n_jobs``: each (scheduler, seed, sweep-point) run is an independent,
+fully seeded work item, so the runner can fan them out over a process
+pool without touching the matched-seed contract — a parallel run returns
+results identical to ``n_jobs=1``.  Work items that cannot be pickled
+(e.g. lambda scheduler factories) make the runner fall back to serial
+execution with a warning.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.core.scheduling.base import UplinkScheduler
 from repro.errors import ConfigurationError
-from repro.resilience.supervisor import SupervisorConfig, supervised_map
+from repro.resilience.supervisor import FailedItem, resolve_jobs, supervised_map
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import CellSimulation
 from repro.sim.results import SimulationResult
@@ -37,6 +40,7 @@ __all__ = [
     "SweepPoint",
     "ReplicatedMetric",
     "map_jobs",
+    "replicate_metrics",
     "run_comparison",
     "run_replications",
     "run_sweep",
@@ -91,22 +95,7 @@ def _run_single(work: _WorkItem) -> SimulationResult:
     return simulation.run()
 
 
-def _resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    if n_jobs is None:
-        return 1
-    if n_jobs == -1:
-        return os.cpu_count() or 1
-    if n_jobs < 1:
-        raise ConfigurationError(f"n_jobs must be >= 1 or -1: {n_jobs}")
-    return int(n_jobs)
-
-
-def map_jobs(
-    fn,
-    items: Sequence,
-    n_jobs: Optional[int],
-    supervisor: Optional["SupervisorConfig"] = None,
-) -> List:
+def map_jobs(fn, items: Sequence, n_jobs: Optional[int]) -> List:
     """Map ``fn`` over independent work items, serially or in a process
     pool, preserving order.
 
@@ -115,18 +104,12 @@ def map_jobs(
     serial.  Items that cannot pickle trigger a serial fallback with a
     ``RuntimeWarning`` (probing the first item only — per-item pickling
     errors in a heterogeneous batch surface through the supervisor as
-    that item's failure).  The spec layer (:mod:`repro.experiments`)
-    reuses this with plain spec-dict items, which always pickle.
-
-    Execution is supervised (:func:`repro.resilience.supervised_map`).
-    Without a ``supervisor`` config the behaviour is strict — no
-    retries, no timeout, the first failure re-raises — so existing
-    callers see the historical semantics.  With one, failed items come
-    back as :class:`~repro.resilience.FailedItem` records in the
-    returned list instead of aborting the batch.
+    that item's failure).  Execution is strict — no retries, no
+    timeout, the first failure re-raises
+    (:func:`repro.resilience.supervised_map` in fail-fast mode).
     """
-    jobs = min(_resolve_n_jobs(n_jobs), len(items))
-    if jobs > 1 and items:
+    jobs = resolve_jobs(n_jobs)
+    if jobs > 1 and len(items) > 1:
         try:
             pickle.dumps(items[0])
         except Exception as error:  # noqa: BLE001 - any pickling failure
@@ -138,17 +121,25 @@ def map_jobs(
                 stacklevel=3,
             )
             jobs = 1
-    outcome = supervised_map(
-        fn, items, n_jobs=jobs, config=supervisor,
-        fail_fast=supervisor is None,
-    )
-    return outcome.results
+    return supervised_map(fn, items, n_jobs=jobs, fail_fast=True).results
 
 
-def _run_work_items(
-    items: Sequence[_WorkItem], n_jobs: Optional[int]
-) -> List[SimulationResult]:
-    return map_jobs(_run_single, items, n_jobs)
+def _run_grid(
+    topology, mean_snr_db, scheduler_factories, config, seeds, n_jobs,
+    record_series=False, activity_model_factory=None, timeline=None,
+) -> List[Tuple[str, Optional[int], SimulationResult]]:
+    """Every (scheduler, seed) run as one flat batch, seed-major, as
+    ``(name, seed, result)`` triples — the live-object counterpart of
+    :func:`~repro.experiments.build.run_experiment_grid`."""
+    config = SimulationConfig() if config is None else config
+    cells = [(name, seed) for seed in seeds for name in scheduler_factories]
+    items: List[_WorkItem] = [
+        (topology, mean_snr_db, scheduler_factories[name], config, seed,
+         record_series, activity_model_factory, timeline)
+        for name, seed in cells
+    ]
+    results = map_jobs(_run_single, items, n_jobs)
+    return [(name, seed, result) for (name, seed), result in zip(cells, results)]
 
 
 def run_comparison(
@@ -177,24 +168,11 @@ def run_comparison(
     """
     if not scheduler_factories:
         raise ConfigurationError("no schedulers to compare")
-    if config is None:
-        config = SimulationConfig()
-    names = list(scheduler_factories)
-    items: List[_WorkItem] = [
-        (
-            topology,
-            mean_snr_db,
-            scheduler_factories[name],
-            config,
-            seed,
-            record_series,
-            activity_model_factory,
-            timeline,
-        )
-        for name in names
-    ]
-    results = _run_work_items(items, n_jobs)
-    return dict(zip(names, results))
+    grid = _run_grid(
+        topology, mean_snr_db, scheduler_factories, config, [seed], n_jobs,
+        record_series, activity_model_factory, timeline,
+    )
+    return {name: result for name, _seed, result in grid}
 
 
 @dataclass
@@ -237,7 +215,7 @@ def run_sweep(
             items.append(
                 (topology, snrs, factory, config, seed, False, None, None)
             )
-    results = _run_work_items(items, n_jobs)
+    results = map_jobs(_run_single, items, n_jobs)
     for (index, name), result in zip(labelled, results):
         points[index].results[name] = result
     return points
@@ -277,46 +255,45 @@ def run_replications(
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
-    if config is None:
-        config = SimulationConfig()
-    names = list(scheduler_factories)
-    labelled: List[Tuple[str, int]] = []
-    items: List[_WorkItem] = []
-    for seed in seeds:
-        for name in names:
-            labelled.append((name, seed))
-            items.append(
-                (
-                    topology,
-                    mean_snr_db,
-                    scheduler_factories[name],
-                    config,
-                    seed,
-                    False,
-                    activity_model_factory,
-                    None,
-                )
-            )
-    results = _run_work_items(items, n_jobs)
+    grid = _run_grid(
+        topology, mean_snr_db, scheduler_factories, config, seeds, n_jobs,
+        activity_model_factory=activity_model_factory,
+    )
+    return replicate_metrics(grid, scheduler_factories, metrics)
 
-    samples: Dict[str, Dict[str, List[float]]] = {
-        name: {metric: [] for metric in metrics} for name in names
+
+def replicate_metrics(
+    grid: Iterable[Tuple[str, object, object]],
+    names: Iterable[str],
+    metrics: Sequence[str],
+) -> Dict[str, Dict[str, ReplicatedMetric]]:
+    """Mean ± std of each summary metric per scheduler over a run grid.
+
+    ``grid`` holds ``(scheduler_name, seed, result)`` triples; a
+    :class:`~repro.resilience.FailedItem` (a cell the supervisor
+    quarantined) contributes no sample, and a metric with no samples
+    reports a NaN mean.
+    """
+    summaries: Dict[str, list] = {name: [] for name in names}
+    for name, _seed, result in grid:
+        if not isinstance(result, FailedItem):
+            summaries[name].append(result.summary())
+
+    def replicated(values) -> ReplicatedMetric:
+        array = np.asarray(values, dtype=float)
+        return ReplicatedMetric(
+            mean=float(array.mean()) if len(array) else float("nan"),
+            std=float(array.std(ddof=1)) if len(array) > 1 else 0.0,
+            samples=len(array),
+        )
+
+    return {
+        name: {
+            metric: replicated([summary[metric] for summary in rows])
+            for metric in metrics
+        }
+        for name, rows in summaries.items()
     }
-    for (name, _seed), result in zip(labelled, results):
-        summary = result.summary()
-        for metric in metrics:
-            samples[name][metric].append(summary[metric])
-    report: Dict[str, Dict[str, ReplicatedMetric]] = {}
-    for name, by_metric in samples.items():
-        report[name] = {}
-        for metric, values in by_metric.items():
-            array = np.asarray(values, dtype=float)
-            report[name][metric] = ReplicatedMetric(
-                mean=float(array.mean()),
-                std=float(array.std(ddof=1)) if len(array) > 1 else 0.0,
-                samples=len(array),
-            )
-    return report
 
 
 def gain_over(

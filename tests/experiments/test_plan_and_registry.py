@@ -8,7 +8,7 @@ timeline-derived oracle stages, and the registered kind inventories.
 import pytest
 
 from repro.dynamics.adapt import AdaptiveBLUController
-from repro.errors import SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.experiments import (
     BuildContext,
     ExperimentSpec,
@@ -154,6 +154,17 @@ class TestExperimentPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             build_experiment(spec).run(n_jobs=2)
+
+    @pytest.mark.parametrize("names", [("pf",), ("pf", "oracle")])
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_invalid_n_jobs_rejected_for_any_scheduler_count(
+        self, names, n_jobs
+    ):
+        plan = build_experiment(
+            spec_with({name: SchedulerSpec(name) for name in names})
+        )
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            plan.run(n_jobs=n_jobs)
 
     def test_unknown_scheduler_name_rejected(self):
         plan = build_experiment(spec_with({"pf": SchedulerSpec("pf")}))

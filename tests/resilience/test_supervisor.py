@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.errors import ResilienceError, WorkerFailure
+from repro.errors import ConfigurationError, ResilienceError, WorkerFailure
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.telemetry import TelemetryLog, read_telemetry
 from repro.resilience import FailedItem, SupervisorConfig, supervised_map
@@ -42,7 +42,7 @@ class TestConfigValidation:
             SupervisorConfig(**kwargs)
 
     def test_n_jobs_validation(self):
-        with pytest.raises(ResilienceError):
+        with pytest.raises(ConfigurationError):
             supervised_map(double, [1], n_jobs=0)
 
 

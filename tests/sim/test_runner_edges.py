@@ -13,9 +13,9 @@ import pytest
 from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.errors import ConfigurationError
+from repro.resilience.supervisor import resolve_jobs
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import (
-    _resolve_n_jobs,
     map_jobs,
     run_comparison,
     run_replications,
@@ -32,19 +32,19 @@ def _square(x: int) -> int:
 
 class TestResolveNJobs:
     def test_none_means_serial(self):
-        assert _resolve_n_jobs(None) == 1
+        assert resolve_jobs(None) == 1
 
     def test_minus_one_means_all_cores(self):
-        assert _resolve_n_jobs(-1) == (os.cpu_count() or 1)
+        assert resolve_jobs(-1) == (os.cpu_count() or 1)
 
     def test_explicit_counts_pass_through(self):
-        assert _resolve_n_jobs(1) == 1
-        assert _resolve_n_jobs(3) == 3
+        assert resolve_jobs(1) == 1
+        assert resolve_jobs(3) == 3
 
     def test_zero_and_negative_rejected(self):
         for bad in (0, -2):
             with pytest.raises(ConfigurationError, match="n_jobs"):
-                _resolve_n_jobs(bad)
+                resolve_jobs(bad)
 
 
 class TestMapJobs:

@@ -23,6 +23,29 @@ class TestParser:
         assert args.antennas == 1
         assert not args.with_oracle
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare"],
+            ["sweep"],
+            ["run-spec", "specs/compare_testbed.json"],
+            ["deploy", "specs/chaos_demo.json"],
+            ["resume", "no-such-checkpoint"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_invalid_n_jobs_exits_2_naming_the_flag(
+        self, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--n-jobs", value])
+        assert exit_info.value.code == 2
+        assert "--n-jobs" in capsys.readouterr().err
+
+    def test_n_jobs_accepts_all_cores(self):
+        args = build_parser().parse_args(["deploy", "x.json", "--n-jobs", "-1"])
+        assert args.n_jobs == -1
+
     def test_overhead_arguments(self):
         args = build_parser().parse_args(
             ["overhead", "--ues", "12", "--k", "6", "--samples", "10"]
