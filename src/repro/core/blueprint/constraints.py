@@ -199,9 +199,8 @@ class WorkingTopology:
     def aggregate_violation(self, target: TransformedMeasurements) -> float:
         """Sum of absolute violations over all constraints (each counted once)."""
         violation = self.violation_matrix(target)
-        upper = np.triu_indices(self.num_ues, k=1)
         total = float(
-            np.abs(np.diag(violation)).sum() + np.abs(violation[upper]).sum()
+            np.abs(violation.diagonal()).sum() + np.abs(violation[target.upper]).sum()
         )
         for (i, j, k), value in target.triplet.items():
             total += abs(self.triplet_contribution(i, j, k) - value)
@@ -210,22 +209,28 @@ class WorkingTopology:
     def violations(
         self, target: TransformedMeasurements, respect_tolerance: bool = True
     ) -> List[ConstraintViolation]:
-        """All constraints violated beyond tolerance, most-violated first."""
+        """All constraints violated beyond tolerance, most-violated first.
+
+        Ties keep constraint order: individual by client, then pairwise in
+        row-major order, then triplets as the target lists them.
+        """
         matrix = self.violation_matrix(target)
+        rows, cols = target.upper
+        amounts = np.concatenate((matrix.diagonal(), matrix[rows, cols]))
+        if respect_tolerance:
+            tolerance = target.tolerance_matrix()
+            limits = np.concatenate((tolerance.diagonal(), tolerance[rows, cols]))
+        else:
+            limits = 0.0
+        n = self.num_ues
         found: List[ConstraintViolation] = []
-        for i in range(self.num_ues):
-            amount = float(matrix[i, i])
-            tolerance = target.individual_tolerance[i] if respect_tolerance else 0.0
-            if abs(amount) > tolerance:
-                found.append(ConstraintViolation("individual", i, amount))
-        for i in range(self.num_ues):
-            for j in range(i + 1, self.num_ues):
-                amount = float(matrix[i, j])
-                tolerance = (
-                    target.pairwise_tolerance[(i, j)] if respect_tolerance else 0.0
-                )
-                if abs(amount) > tolerance:
-                    found.append(ConstraintViolation("pairwise", (i, j), amount))
+        for index in np.flatnonzero(np.abs(amounts) > limits).tolist():
+            amount = float(amounts[index])
+            if index < n:
+                found.append(ConstraintViolation("individual", index, amount))
+            else:
+                pair = (int(rows[index - n]), int(cols[index - n]))
+                found.append(ConstraintViolation("pairwise", pair, amount))
         for (i, j, k), value in target.triplet.items():
             amount = self.triplet_contribution(i, j, k) - value
             tolerance = (

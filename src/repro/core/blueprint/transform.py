@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Tuple
 
+import numpy as np
+
 from repro.errors import MeasurementError
 
 __all__ = [
@@ -105,6 +107,12 @@ def inverse_transform_q(big_q: float) -> float:
 class TransformedMeasurements:
     """The transformed constraint targets handed to the inference solver.
 
+    A target is immutable once built: the solver evaluates it tens of
+    thousands of times per inference, so the dense views it reads
+    (:meth:`matrix`, :meth:`tolerance_matrix`, :attr:`upper`) are built
+    once at construction and served read-only.  Treat the dicts below as
+    read-only too.
+
     Attributes:
         num_ues: number of clients ``N``.
         individual: ``{i: P(i)}`` for every client.
@@ -112,6 +120,8 @@ class TransformedMeasurements:
         individual_tolerance: per-client satisfiability tolerance (driven by
             sampling noise; exact inputs use a tiny default).
         pairwise_tolerance: per-pair tolerance.
+        upper: the ``(rows, cols)`` index arrays of the pairwise
+            constraints — the strict upper triangle, row-major.
     """
 
     def __init__(
@@ -166,6 +176,11 @@ class TransformedMeasurements:
             self.triplet_tolerance[(i, j, k)] = float(
                 (triplet_tolerance or {}).get(key, default_tolerance)
             )
+        self.upper = tuple(_read_only(a) for a in np.triu_indices(num_ues, k=1))
+        self._matrix = _symmetric(num_ues, self.individual, self.pairwise)
+        self._tolerance = _symmetric(
+            num_ues, self.individual_tolerance, self.pairwise_tolerance
+        )
 
     @staticmethod
     def from_probabilities(
@@ -192,16 +207,31 @@ class TransformedMeasurements:
             default_tolerance=default_tolerance,
         )
 
-    def matrix(self):
+    def matrix(self) -> np.ndarray:
         """The symmetric target matrix ``W`` with ``W[i,i] = P(i)`` and
         ``W[i,j] = P(i,j)`` — the weighted clique-cover view used by the
-        peeling initializer."""
-        import numpy as np
+        peeling initializer.  Read-only; copy before editing."""
+        return self._matrix
 
-        w = np.zeros((self.num_ues, self.num_ues))
-        for i, value in self.individual.items():
-            w[i, i] = value
-        for (i, j), value in self.pairwise.items():
-            w[i, j] = value
-            w[j, i] = value
-        return w
+    def tolerance_matrix(self) -> np.ndarray:
+        """Per-constraint tolerances laid out like :meth:`matrix` (read-only)."""
+        return self._tolerance
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _symmetric(
+    num_ues: int,
+    diagonal: Mapping[int, float],
+    off_diagonal: Mapping[Tuple[int, int], float],
+) -> np.ndarray:
+    w = np.zeros((num_ues, num_ues))
+    for i, value in diagonal.items():
+        w[i, i] = value
+    for (i, j), value in off_diagonal.items():
+        w[i, j] = value
+        w[j, i] = value
+    return _read_only(w)

@@ -97,6 +97,26 @@ class TestTransformedMeasurements:
         assert w[0, 1] == pytest.approx(target.pairwise[(0, 1)])
         assert w[1, 0] == pytest.approx(w[0, 1])
 
+    def test_target_views_are_read_only_and_built_once(self):
+        target = TransformedMeasurements(
+            3,
+            {0: 0.1, 1: 0.2, 2: 0.3},
+            {(0, 1): 0.01, (0, 2): 0.02, (1, 2): 0.03},
+            individual_tolerance={1: 0.5},
+            pairwise_tolerance={(0, 2): 0.25},
+        )
+        views = (target.matrix(), target.tolerance_matrix(), *target.upper)
+        for view in views:
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+        assert target.matrix() is views[0]
+        assert target.tolerance_matrix() is views[1]
+        assert target.tolerance_matrix()[1, 1] == 0.5
+        assert target.tolerance_matrix()[2, 0] == 0.25
+        assert target.tolerance_matrix()[0, 1] == 1e-9
+        assert target.upper[0].tolist() == [0, 0, 1]
+        assert target.upper[1].tolist() == [1, 2, 2]
+
     def test_from_probabilities_matches_topology(self, simple_topology):
         p_individual = {
             i: simple_topology.access_probability(i) for i in range(3)
